@@ -7,12 +7,17 @@
 #include <vector>
 
 #include "src/interp/bytecode.h"
+#include "src/minidb/bug_registry.h"
 #include "src/minidb/database.h"
 #include "src/obs/telemetry.h"
 #include "src/pqs/campaign.h"
 #include "src/pqs/runner.h"
 #include "src/sqlparser/render.h"
 #include "tests/test_util.h"
+
+#ifndef PQS_SOURCE_DIR
+#define PQS_SOURCE_DIR "."
+#endif
 
 namespace pqs {
 namespace {
@@ -377,6 +382,101 @@ void TestShardedTxnWorkloadMatchesSequential() {
   }
 }
 
+// One golden line: `name <fingerprint>`, with the rendered scripts'
+// newlines escaped so every entry stays on its own line.
+void AddGoldenEntry(const std::string& name, const std::string& fingerprint,
+                    std::string* out) {
+  *out += name;
+  *out += ' ';
+  for (char c : fingerprint) {
+    if (c == '\n') {
+      *out += "\\n";
+    } else {
+      *out += c;
+    }
+  }
+  *out += '\n';
+}
+
+RunReport GoldenRun(Dialect dialect, OracleFamily family, BugConfig bugs,
+                    minidb::StorageOptions storage, int txn_sessions,
+                    int databases = 24) {
+  RunnerOptions options;
+  options.seed = 4242;
+  options.databases = databases;
+  options.queries_per_database = 10;
+  options.family = family;
+  options.gen.txn_sessions = txn_sessions;
+  EngineFactory factory = [dialect, bugs, storage]() -> ConnectionPtr {
+    return std::make_unique<minidb::Database>(dialect, bugs, storage);
+  };
+  PqsRunner runner(factory, options);
+  return runner.Run();
+}
+
+// Fixed-seed reports locked in tests/golden/report_fingerprints.golden:
+// clean runs per dialect and oracle family, K-session transaction runs, a
+// stress-storage run, a run with each DML bug hook armed, and a per-dialect
+// campaign summary. A change that is meant to keep reports byte-identical
+// must leave the file untouched (regenerate with PQS_UPDATE_GOLDEN=1 only
+// for an intended semantic change, and explain each changed entry).
+void TestReportFingerprintsGolden() {
+  const Dialect dialects[] = {Dialect::kSqliteFlex, Dialect::kMysqlLike,
+                              Dialect::kPostgresStrict};
+  std::string out;
+  for (Dialect dialect : dialects) {
+    for (OracleFamily family : {OracleFamily::kContainment,
+                                OracleFamily::kNorec, OracleFamily::kTlp}) {
+      AddGoldenEntry(std::string("clean/") + DialectName(dialect) + "/" +
+                         OracleFamilyName(family),
+                     Fingerprint(GoldenRun(dialect, family, BugConfig(),
+                                           minidb::StorageOptions(), 1)),
+                     &out);
+    }
+  }
+  for (Dialect dialect : dialects) {
+    AddGoldenEntry(std::string("txn3/") + DialectName(dialect),
+                   Fingerprint(GoldenRun(dialect, OracleFamily::kContainment,
+                                         BugConfig(), minidb::StorageOptions(),
+                                         3)),
+                   &out);
+  }
+  AddGoldenEntry("stress/sqlite",
+                 Fingerprint(GoldenRun(Dialect::kSqliteFlex,
+                                       OracleFamily::kContainment, BugConfig(),
+                                       minidb::StorageOptions::Stress(), 1)),
+                 &out);
+  for (BugId bug : {BugId::kUpdateSetOrCrash, BugId::kUpdateIndexStale,
+                    BugId::kPartialIndexUpdateMiss, BugId::kDeleteOverrun,
+                    BugId::kIndexHeapDesync}) {
+    const minidb::BugInfo& info = minidb::LookupBug(bug);
+    AddGoldenEntry(std::string("bug/") + info.name,
+                   Fingerprint(GoldenRun(info.dialect,
+                                         FamilyForOracle(info.oracle),
+                                         BugConfig::Single(bug),
+                                         minidb::StorageOptions(), 1, 160)),
+                   &out);
+  }
+  for (Dialect dialect : dialects) {
+    CampaignOptions options;
+    options.seed = 20200604;
+    CampaignReport report = RunCampaign(dialect, options);
+    for (const BugHuntResult& r : report.results) {
+      std::string summary = std::to_string(r.detected) + "|" +
+                            OracleName(r.oracle) + "|" +
+                            std::to_string(r.databases_used) + "|" +
+                            std::to_string(r.statements_used) + "|" +
+                            std::to_string(r.reduced.statements.size());
+      AddGoldenEntry(std::string("campaign/") + DialectName(dialect) + "/" +
+                         r.name,
+                     summary, &out);
+    }
+  }
+  test::CheckGolden(std::string(PQS_SOURCE_DIR) +
+                        "/tests/golden/report_fingerprints.golden",
+                    out);
+}
+
 void TestDifferentSeedsDiffer() {
   // Not a strict requirement of the API, but a sanity check that the seed
   // actually feeds the generator.
@@ -396,6 +496,7 @@ int main() {
   pqs::TestBytecodeOnOffSameReport();
   pqs::TestTelemetryOnOffSameReport();
   pqs::TestShardedTxnWorkloadMatchesSequential();
+  pqs::TestReportFingerprintsGolden();
   pqs::TestDifferentSeedsDiffer();
   return pqs::test::Summary("test_determinism");
 }

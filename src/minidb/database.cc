@@ -223,24 +223,16 @@ StatementResult Database::Execute(const Stmt& stmt) {
       result = ExecuteDropIndex(static_cast<const DropIndexStmt&>(stmt));
       break;
     case StmtKind::kInsert:
-      // During the MVCC epoch all DML is diverted through the versioned
-      // write path; outside it the classic single-user path is untouched.
-      result = in_epoch_
-                   ? ExecuteTxnInsert(static_cast<const InsertStmt&>(stmt))
-                   : ExecuteInsert(static_cast<const InsertStmt&>(stmt));
+      result = ExecuteInsert(static_cast<const InsertStmt&>(stmt));
       break;
     case StmtKind::kSelect:
       result = ExecuteSelect(static_cast<const SelectStmt&>(stmt));
       break;
     case StmtKind::kUpdate:
-      result = in_epoch_
-                   ? ExecuteTxnUpdate(static_cast<const UpdateStmt&>(stmt))
-                   : ExecuteUpdate(static_cast<const UpdateStmt&>(stmt));
+      result = ExecuteUpdate(static_cast<const UpdateStmt&>(stmt));
       break;
     case StmtKind::kDelete:
-      result = in_epoch_
-                   ? ExecuteTxnDelete(static_cast<const DeleteStmt&>(stmt))
-                   : ExecuteDelete(static_cast<const DeleteStmt&>(stmt));
+      result = ExecuteDelete(static_cast<const DeleteStmt&>(stmt));
       break;
     case StmtKind::kMaintenance:
       result = ExecuteMaintenance(static_cast<const MaintenanceStmt&>(stmt));
@@ -528,8 +520,33 @@ bool Database::CoerceForInsert(const ColumnDef& col, SqlValue* value,
 }
 
 StatementResult Database::CheckConstraints(
-    const TableData& table, const std::vector<SqlValue>& candidate,
-    const std::vector<std::vector<SqlValue>>& pending, int exclude_row) {
+    const RowSource& src, const StoredRow& candidate,
+    const std::vector<StoredRow>& pending, int exclude_row) {
+  // True if a source row other than `exclude_row`, or a pending row,
+  // satisfies `collides`. The source scan stops at the first hit.
+  auto any_collision = [&](auto&& collides) {
+    bool found = false;
+    src.ForEachBatch([&](size_t base, const StoredRow* rows, size_t n) {
+      for (size_t r = 0; r < n; ++r) {
+        if (static_cast<int>(base + r) == exclude_row) continue;
+        if (collides(rows[r])) {
+          found = true;
+          return false;
+        }
+      }
+      return true;
+    });
+    for (size_t r = 0; !found && r < pending.size(); ++r) {
+      found = collides(pending[r]);
+    }
+    return found;
+  };
+  auto violation = [&](const std::string& message) {
+    Mark(Feature::kConstraintViolationRejected);
+    return StatementResult::Failure(StatementStatus::kConstraintViolation,
+                                    message);
+  };
+  const TableData& table = *src.table;
   for (size_t c = 0; c < table.columns.size(); ++c) {
     const ColumnDef& col = table.columns[c];
     // SQLite quirk, preserved for fidelity with the real engine: a
@@ -540,41 +557,14 @@ StatementResult Database::CheckConstraints(
         col.not_null ||
         (col.primary_key && dialect_ != Dialect::kSqliteFlex);
     if (needs_value && candidate[c].is_null()) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "NOT NULL constraint failed: " +
-                                          col.name);
+      return violation("NOT NULL constraint failed: " + col.name);
     }
     bool must_be_distinct = col.unique || col.primary_key;
     if (!must_be_distinct || candidate[c].is_null()) continue;
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return !other[c].is_null() && ValueEquals(other[c], candidate[c]);
-    };
-    bool stored_collision = false;
-    table.store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
-                                 size_t n) {
-      for (size_t r = 0; r < n; ++r) {
-        if (static_cast<int>(base + r) == exclude_row) continue;
-        if (collides(rows[r])) {
-          stored_collision = true;
-          return false;
-        }
-      }
-      return true;
-    });
-    if (stored_collision) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "UNIQUE constraint failed: " +
-                                          col.name);
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "UNIQUE constraint failed: " +
-                                            col.name);
-      }
+    if (any_collision([&](const StoredRow& other) {
+          return !other[c].is_null() && ValueEquals(other[c], candidate[c]);
+        })) {
+      return violation("UNIQUE constraint failed: " + col.name);
     }
   }
 
@@ -587,39 +577,42 @@ StatementResult Database::CheckConstraints(
                                  ctx, candidate)) {
       continue;
     }
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return RowCoveredByPartialCode(index.where.get(), index.where_code,
-                                     schema, ctx, other) &&
-             KeyColumnsCollide(index.key_cols, other, candidate);
-    };
-    bool stored_collision = false;
-    table.store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
-                                 size_t n) {
-      for (size_t r = 0; r < n; ++r) {
-        if (static_cast<int>(base + r) == exclude_row) continue;
-        if (collides(rows[r])) {
-          stored_collision = true;
-          return false;
-        }
-      }
-      return true;
-    });
-    if (stored_collision) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "unique index constraint failed: " +
-                                          index.name);
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "unique index constraint failed: " +
-                                            index.name);
-      }
+    if (any_collision([&](const StoredRow& other) {
+          return RowCoveredByPartialCode(index.where.get(), index.where_code,
+                                         schema, ctx, other) &&
+                 KeyColumnsCollide(index.key_cols, other, candidate);
+        })) {
+      return violation("unique index constraint failed: " + index.name);
     }
   }
   return StatementResult::Ok();
+}
+
+Database::RowSource Database::OpenSource(TableData* table) {
+  RowSource src;
+  src.table = table;
+  src.heap = !in_epoch_;
+  if (!src.heap) {
+    src.txn = CurrentTxn();
+    src.image = BuildReadImage(table, src.txn, /*for_select=*/false);
+  }
+  return src;
+}
+
+void Database::RowSource::Write(size_t i, StoredRow row, StoredRow pre) {
+  if (heap) {
+    undo.emplace_back(i, std::move(pre));
+    table->store.Overwrite(i, std::move(row));
+  } else {
+    image.rows[i] = std::move(row);
+  }
+}
+
+void Database::RowSource::Rollback() {
+  for (size_t u = undo.size(); u-- > 0;) {
+    table->store.Overwrite(undo[u].first, std::move(undo[u].second));
+  }
+  undo.clear();
 }
 
 StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
@@ -631,16 +624,18 @@ StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
   Mark(Feature::kInsert);
   if (stmt.rows.size() > 1) Mark(Feature::kMultiRowInsert);
 
+  RowSource src = OpenSource(table);
   EvalContext ctx{dialect_, &bugs_};
   RowView no_row;  // literal rows cannot reference columns
-  std::vector<std::vector<SqlValue>> accepted;
+  Effect effect{StmtKind::kInsert, {}, {}, {}};
+  std::vector<StoredRow>& accepted = effect.rows;
   for (const auto& row_exprs : stmt.rows) {
     if (row_exprs.size() != table->columns.size()) {
       return StatementResult::Failure(
           StatementStatus::kError,
           "value count does not match column count");
     }
-    std::vector<SqlValue> row;
+    StoredRow row;
     row.reserve(row_exprs.size());
     for (size_t c = 0; c < row_exprs.size(); ++c) {
       if (row_exprs[c] == nullptr) {
@@ -662,7 +657,7 @@ StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
       }
       row.push_back(std::move(v.value));
     }
-    StatementResult violation = CheckConstraints(*table, row, accepted);
+    StatementResult violation = CheckConstraints(src, row, accepted, -1);
     if (!violation.ok()) {
       // Statement-level abort: no row of a failing INSERT is applied,
       // matching SQLite's default ON CONFLICT ABORT with a statement
@@ -671,17 +666,7 @@ StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
     }
     accepted.push_back(std::move(row));
   }
-  std::vector<size_t> new_positions;
-  new_positions.reserve(accepted.size());
-  for (auto& row : accepted) {
-    new_positions.push_back(table->store.Append(std::move(row)));
-  }
-  for (IndexData& index : indexes_) {
-    if (index.table_name != table->name) continue;
-    for (size_t pos : new_positions) {
-      AddIndexEntry(&index, *table, pos);
-    }
-  }
+  Sink(&src, &effect);
   return StatementResult::Ok();
 }
 
@@ -723,20 +708,21 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
     return Crash("update trigger recursion");
   }
 
+  RowSource src = OpenSource(table);
   EvalContext ctx{dialect_, &bugs_};
 
-  // Pass 1: decide the matched set on the pre-update snapshot (SQL UPDATE
+  // Pass 1: decide the matched set on the pre-update rows (SQL UPDATE
   // semantics: the WHERE never observes this statement's own writes). The
-  // scan is page-batched, the WHERE compiled once and run per batch.
+  // scan is batched, the WHERE compiled once and run per batch.
   CompiledExpr where_code;
   if (stmt.where != nullptr) where_code = CompileExpr(*stmt.where, schema, dialect_);
-  std::vector<size_t> matched_pos;
+  Effect effect{StmtKind::kUpdate, {}, {}, {}};
+  std::vector<size_t>& matched = effect.updated;
   bool where_failed = false;
   std::vector<EvalResult> where_out;
-  table->store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
-                                size_t n) {
+  src.ForEachBatch([&](size_t base, const StoredRow* rows, size_t n) {
     if (stmt.where == nullptr) {
-      for (size_t r = 0; r < n; ++r) matched_pos.push_back(base + r);
+      for (size_t r = 0; r < n; ++r) matched.push_back(base + r);
       return true;
     }
     where_code.RunBatch(schema, rows, n, ctx, &where_out);
@@ -746,7 +732,7 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
         return false;
       }
       if (Truthiness(where_out[r].value, dialect_) == Bool3::kTrue) {
-        matched_pos.push_back(base + r);
+        matched.push_back(base + r);
       }
     }
     return true;
@@ -755,81 +741,56 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
     return StatementResult::Failure(StatementStatus::kError,
                                     "UPDATE WHERE evaluation failed");
   }
-  if (matched_pos.empty()) {
-    // Nothing to write: skip the statement journal and the index rebuild
-    // (random WHEREs miss often, and UPDATE sits in the fuzzing hot loop).
-    return StatementResult::Ok();
-  }
 
-  // Pass 2: apply in row order with immediate per-row constraint checks
-  // (the SQLite visit-and-check model: a violation aborts the statement
-  // and rolls every earlier row back). The statement journal is sparse:
-  // (row, pre-image) pairs for written rows only, undone in reverse —
-  // the former full-table copy dominated the UPDATE profile.
+  // Pass 2: write in source order with immediate per-row constraint checks
+  // (the SQLite visit-and-check model: later rows see the new values of
+  // earlier rows, and a violation aborts the statement and rolls every
+  // earlier row back).
   std::vector<CompiledExpr> target_code;
   target_code.reserve(targets.size());
   for (const auto& [c, value_expr] : targets) {
     (void)c;
     target_code.push_back(CompileExpr(*value_expr, schema, dialect_));
   }
-  std::vector<std::pair<size_t, std::vector<SqlValue>>> undo;
-  undo.reserve(matched_pos.size());
-  auto rollback = [&]() {
-    for (size_t u = undo.size(); u-- > 0;) {
-      table->store.Overwrite(undo[u].first, std::move(undo[u].second));
-    }
-  };
+  if (src.heap) src.undo.reserve(matched.size());
+  // Stays pinned through the sink's index maintenance: the pool's eviction
+  // order, which the storage bug classes observe, depends on it.
   TableStore::Cursor cursor(table->store);
-  for (size_t pos : matched_pos) {
-    // Each matched row is written at most once, so the cursor still reads
-    // this row's pre-update values here. A position a storage bug made
-    // vanish between the passes is skipped, like a bounds-guarded index
-    // candidate.
-    const std::vector<SqlValue>* current = cursor.TryRow(pos);
+  for (size_t i : matched) {
+    // Each matched row is written at most once, so this still reads the
+    // row's pre-update values. A heap position a storage bug made vanish
+    // between the passes is skipped, like a bounds-guarded index candidate.
+    const StoredRow* current = src.heap ? cursor.TryRow(i) : &src.image.rows[i];
     if (current == nullptr) continue;
     // Copy the pre-image out of the frame before anything below touches
     // the pool again (the nested constraint scan can revalidate or evict
     // around the pinned page and reallocate its row vectors).
-    std::vector<SqlValue> pre = *current;
+    StoredRow pre = *current;
     RowView view{&schema, &pre};
-    std::vector<SqlValue> updated = pre;
+    StoredRow updated = pre;
     for (size_t t = 0; t < targets.size(); ++t) {
       EvalResult v = target_code[t].Run(view, ctx);
       if (v.error) {
-        rollback();
+        src.Rollback();
         return StatementResult::Failure(StatementStatus::kError, v.message);
       }
       StatementResult failure;
       if (!CoerceForInsert(table->columns[targets[t].first], &v.value,
                            &failure)) {
-        rollback();
+        src.Rollback();
         return failure;
       }
       updated[targets[t].first] = std::move(v.value);
     }
-    StatementResult violation = CheckConstraints(
-        *table, updated, {}, static_cast<int>(pos));
+    StatementResult violation =
+        CheckConstraints(src, updated, {}, static_cast<int>(i));
     if (!violation.ok()) {
-      rollback();
+      src.Rollback();
       return violation;
     }
-    undo.emplace_back(pos, std::move(pre));
-    table->store.Overwrite(pos, std::move(updated));
+    src.Write(i, std::move(updated), std::move(pre));
   }
-
-  // Index maintenance: the clean path rebuilds every index of the table.
-  // kUpdateIndexStale skips the rebuild wholesale (keys go stale);
-  // kPartialIndexUpdateMiss rebuilds only the non-partial indexes, so
-  // partial-index membership reflects the pre-update rows.
-  if (!BugOn(BugId::kUpdateIndexStale)) {
-    for (IndexData& index : indexes_) {
-      if (index.table_name != table->name) continue;
-      if (BugOn(BugId::kPartialIndexUpdateMiss) && index.where != nullptr) {
-        continue;
-      }
-      RebuildIndex(&index, *table);
-    }
-  }
+  Sink(&src, &effect);
   return StatementResult::Ok();
 }
 
@@ -842,24 +803,24 @@ StatementResult Database::ExecuteDelete(const DeleteStmt& stmt) {
   Mark(Feature::kDelete);
   if (stmt.where != nullptr) MarkExprFeatures(*stmt.where);
 
+  RowSource src = OpenSource(table);
   const RowSchema& schema = table->schema;
   EvalContext ctx{dialect_, &bugs_};
   CompiledExpr where_code;
   if (stmt.where != nullptr) where_code = CompileExpr(*stmt.where, schema, dialect_);
-  // One page-batched pass copies every surviving row out (the compaction
-  // rewrites the heap wholesale) and records doomed flags in scan order.
-  std::vector<std::vector<SqlValue>> scanned;
-  std::vector<size_t> positions;
-  std::vector<char> doomed;
-  scanned.reserve(table->store.size());
-  positions.reserve(table->store.size());
-  doomed.reserve(table->store.size());
+  // One batched pass records doomed flags in scan order. On the heap it
+  // also copies every row out: the compaction rewrites the heap from
+  // exactly what this scan read.
+  Effect effect{StmtKind::kDelete, {}, {}, {}};
+  std::vector<char>& doomed = effect.deleted;
+  size_t scan_hint = src.heap ? table->store.size() : src.image.rows.size();
+  if (src.heap) effect.rows.reserve(scan_hint);
+  doomed.reserve(scan_hint);
   size_t doomed_count = 0;
   size_t last_doomed = 0;  // index into the scan-order arrays
   bool where_failed = false;
   std::vector<EvalResult> where_out;
-  table->store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
-                                size_t n) {
+  src.ForEachBatch([&](size_t, const StoredRow* rows, size_t n) {
     if (stmt.where != nullptr) {
       where_code.RunBatch(schema, rows, n, ctx, &where_out);
     }
@@ -872,12 +833,11 @@ StatementResult Database::ExecuteDelete(const DeleteStmt& stmt) {
         }
         hit = Truthiness(where_out[r].value, dialect_) == Bool3::kTrue;
       }
-      scanned.push_back(rows[r]);
-      positions.push_back(base + r);
+      if (src.heap) effect.rows.push_back(rows[r]);
       doomed.push_back(hit ? 1 : 0);
       if (hit) {
         ++doomed_count;
-        last_doomed = scanned.size() - 1;
+        last_doomed = doomed.size() - 1;
       }
     }
     return true;
@@ -889,43 +849,17 @@ StatementResult Database::ExecuteDelete(const DeleteStmt& stmt) {
   if (BugOn(BugId::kDeleteOverrun) && doomed_count >= 2) {
     // Off-by-one in the delete cursor: the row following the last match is
     // swept up as well.
-    for (size_t r = last_doomed + 1; r < scanned.size(); ++r) {
+    for (size_t r = last_doomed + 1; r < doomed.size(); ++r) {
       if (!doomed[r]) {
         doomed[r] = 1;
         break;
       }
     }
   }
-  if (doomed_count > 0 || stmt.where == nullptr) {
-    // kIndexHeapDesync: on a multi-page table, the DELETE's index rebuild
-    // is driven by a "pages dirtied" bitmap that only covers the doomed
-    // pages — but the compaction below shifts every surviving row after
-    // the first doomed position across page boundaries, so the rebuild is
-    // skipped wholesale here and the index keeps pre-compaction positions.
-    // Probes then resolve to the wrong row (filtered out by the WHERE
-    // re-check) or to nothing (bounds-guarded), and rows go missing from
-    // index-assisted scans only; the heap itself — and with it the bare
-    // state comparison — stays correct.
-    bool skip_rebuild = BugOn(BugId::kIndexHeapDesync) && doomed_count > 0 &&
-                        table->store.paged() &&
-                        table->store.page_count() >= 2;
-    std::vector<std::vector<SqlValue>> kept;
-    kept.reserve(scanned.size());
-    for (size_t r = 0; r < scanned.size(); ++r) {
-      if (!doomed[r]) kept.push_back(std::move(scanned[r]));
-    }
-    table->store.ReplaceAll(std::move(kept));
-    // kPartialIndexUpdateMiss: partial-index membership is not recomputed
-    // on row mutations — after a DELETE its entries keep pre-delete keys
-    // and positions (dangling ones are bounds-guarded at scan time).
-    for (IndexData& index : indexes_) {
-      if (index.table_name != table->name) continue;
-      if (skip_rebuild) continue;
-      if (BugOn(BugId::kPartialIndexUpdateMiss) && index.where != nullptr) {
-        continue;
-      }
-      RebuildIndex(&index, *table);
-    }
+  // A heap DELETE that matched nothing rewrites nothing — except an
+  // unconditional one, which always compacts.
+  if (!src.heap || doomed_count > 0 || stmt.where == nullptr) {
+    Sink(&src, &effect);
   }
   return StatementResult::Ok();
 }
@@ -1249,12 +1183,8 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
     if (cur_txn != nullptr) Mark(Feature::kTxnSnapshotRead);
     epoch_rows.reserve(from.size());
     for (TableData* table : from) {
-      std::vector<ImageRow> image =
-          BuildReadImage(table, cur_txn, /*for_select=*/true);
-      std::vector<std::vector<SqlValue>> data;
-      data.reserve(image.size());
-      for (ImageRow& ir : image) data.push_back(std::move(ir.data));
-      epoch_rows.push_back(std::move(data));
+      epoch_rows.push_back(
+          BuildReadImage(table, cur_txn, /*for_select=*/true).rows);
     }
   }
   if (from.size() == 1 && stmt.joins.empty()) {
@@ -1759,8 +1689,11 @@ StatementResult Database::ExecuteBegin() {
 }
 
 bool Database::CommitConflicts(const Transaction& txn) const {
+  // Every table the transaction ran DML on is checked, even when the DML
+  // changed no row: a predicate that matched nothing in the snapshot may
+  // match a row a concurrent commit added, and the serial replay would
+  // then see it.
   for (const auto& [tname, w] : txn.writes) {
-    if (w.Empty()) continue;
     // kTxnLostUpdate: the conflict check "optimizes away" for update-only
     // write sets, so a stale-snapshot UPDATE clobbers a concurrent commit.
     if (bugs_.enabled(BugId::kTxnLostUpdate) && w.UpdatesOnly()) continue;
@@ -1788,8 +1721,8 @@ bool Database::CommitConflicts(const Transaction& txn) const {
       continue;
     }
     // First-committer-wins at table granularity: sound because generated
-    // DML is single-table, so "no other commit wrote any table I wrote"
-    // implies my snapshot of every written table is still current.
+    // DML is single-table, so "no other commit wrote any table I ran DML
+    // on" implies my snapshot of each of those tables is still current.
     auto lit = last_write_ts_.find(tname);
     if (lit != last_write_ts_.end() && lit->second > txn.begin_ts) {
       return true;
@@ -1812,39 +1745,139 @@ void Database::ApplyCommit(Transaction* txn) {
   for (auto& [tname, w] : txn->writes) {
     if (w.Empty()) continue;
     TableData* table = FindTable(tname);
-    if (table == nullptr) continue;
-    {
-      TableStore::Cursor cursor(table->store);
-      for (auto& [pos, row] : w.updated) {
-        RowMeta& m = table->meta[pos];
-        const std::vector<SqlValue>* current = cursor.TryRow(pos);
-        if (current != nullptr) {
-          RowVersion v;
-          v.begin_ts = m.begin_ts;
-          v.end_ts = c;
-          v.data = *current;
-          m.older.push_back(std::move(v));
-        }
-        table->store.Overwrite(pos, std::move(row));
-        m.begin_ts = c;
+    if (table != nullptr) ApplyVersions(table, &w, c);
+  }
+}
+
+void Database::ApplyVersions(TableData* table, TxnWrites* w, uint64_t ts) {
+  {
+    TableStore::Cursor cursor(table->store);
+    for (auto& [pos, row] : w->updated) {
+      RowMeta& m = table->meta[pos];
+      const StoredRow* current = cursor.TryRow(pos);
+      if (current != nullptr) {
+        RowVersion v;
+        v.begin_ts = m.begin_ts;
+        v.end_ts = ts;
+        v.data = *current;
+        m.older.push_back(std::move(v));
       }
+      table->store.Overwrite(pos, std::move(row));
+      m.begin_ts = ts;
     }
-    for (size_t pos : w.deleted) {
-      // Position-stable tombstone: the row stays in the heap (older
-      // snapshots still read it) until PruneHistory compacts.
-      table->meta[pos].end_ts = c;
+  }
+  for (size_t pos : w->deleted) {
+    // Position-stable tombstone: the row stays in the heap (older
+    // snapshots still read it) until PruneHistory compacts.
+    table->meta[pos].end_ts = ts;
+  }
+  std::vector<size_t> appended;
+  for (size_t i = 0; i < w->inserted.size(); ++i) {
+    if (!w->inserted_alive[i]) continue;
+    appended.push_back(table->store.Append(std::move(w->inserted[i])));
+    table->meta[appended.back()].begin_ts = ts;
+  }
+  last_write_ts_[table->name] = ts;
+  MaintainIndexes(table, appended, !w->updated.empty(), !w->deleted.empty(),
+                  /*desync=*/false);
+}
+
+void Database::Sink(RowSource* src, Effect* effect) {
+  TableData* table = src->table;
+  if (src->txn != nullptr) {
+    Buffer(src, effect, &src->txn->writes[table->name]);
+    return;
+  }
+  if (!src->heap) {
+    // An implicit single-statement transaction at the latest snapshot. It
+    // can never conflict: no other commit interleaves within one statement.
+    TxnWrites w;
+    Buffer(src, effect, &w);
+    if (!w.Empty()) ApplyVersions(table, &w, ++commit_clock_);
+    return;
+  }
+  switch (effect->kind) {
+    case StmtKind::kInsert: {
+      std::vector<size_t> appended;
+      appended.reserve(effect->rows.size());
+      for (StoredRow& row : effect->rows) {
+        appended.push_back(table->store.Append(std::move(row)));
+      }
+      MaintainIndexes(table, appended, false, false, false);
+      return;
     }
-    for (size_t i = 0; i < w.inserted.size(); ++i) {
-      if (!w.inserted_alive[i]) continue;
-      size_t pos = table->store.Append(std::move(w.inserted[i]));
-      table->meta[pos].begin_ts = c;
+    case StmtKind::kUpdate:
+      // The rows were rewritten in place by the statement's visit loop.
+      if (!effect->updated.empty()) MaintainIndexes(table, {}, true, false, false);
+      return;
+    default: {
+      // kIndexHeapDesync: on a multi-page table, the DELETE's index rebuild
+      // is driven by a "pages dirtied" bitmap that only covers the doomed
+      // pages — but the compaction below shifts every surviving row after
+      // the first doomed position across page boundaries, so the rebuild is
+      // skipped wholesale here and the index keeps pre-compaction positions.
+      // Probes then resolve to the wrong row (filtered out by the WHERE
+      // re-check) or to nothing (bounds-guarded), and rows go missing from
+      // index-assisted scans only; the heap itself — and with it the bare
+      // state comparison — stays correct.
+      const std::vector<char>& doomed = effect->deleted;
+      bool desync = BugOn(BugId::kIndexHeapDesync) &&
+                    std::find(doomed.begin(), doomed.end(), 1) != doomed.end() &&
+                    table->store.paged() && table->store.page_count() >= 2;
+      std::vector<StoredRow> kept;
+      kept.reserve(effect->rows.size());
+      for (size_t r = 0; r < effect->rows.size(); ++r) {
+        if (!doomed[r]) kept.push_back(std::move(effect->rows[r]));
+      }
+      table->store.ReplaceAll(std::move(kept));
+      MaintainIndexes(table, {}, false, true, desync);
+      return;
     }
-    last_write_ts_[tname] = c;
-    for (IndexData& index : indexes_) {
-      if (index.table_name != tname) continue;
+  }
+}
+
+void Database::Buffer(RowSource* src, Effect* effect, TxnWrites* w) {
+  ReadImage& image = src->image;
+  for (StoredRow& row : effect->rows) {
+    w->inserted.push_back(std::move(row));
+    w->inserted_alive.push_back(1);
+  }
+  for (size_t i : effect->updated) {
+    if (image.own_insert[i] >= 0) {
+      w->inserted[static_cast<size_t>(image.own_insert[i])] =
+          std::move(image.rows[i]);
+    } else {
+      w->updated[image.pos[i]] = std::move(image.rows[i]);
+    }
+  }
+  for (size_t i = 0; i < effect->deleted.size(); ++i) {
+    if (!effect->deleted[i]) continue;
+    if (image.own_insert[i] >= 0) {
+      w->inserted_alive[static_cast<size_t>(image.own_insert[i])] = 0;
+    } else {
+      w->updated.erase(image.pos[i]);
+      w->deleted.insert(image.pos[i]);
+    }
+  }
+}
+
+void Database::MaintainIndexes(TableData* table,
+                               const std::vector<size_t>& appended,
+                               bool updated, bool deleted, bool desync) {
+  for (IndexData& index : indexes_) {
+    if (index.table_name != table->name) continue;
+    if (!updated && !deleted) {
+      for (size_t pos : appended) AddIndexEntry(&index, *table, pos);
+    } else if (!(updated && BugOn(BugId::kUpdateIndexStale)) && !desync &&
+               !(BugOn(BugId::kPartialIndexUpdateMiss) &&
+                 index.where != nullptr)) {
+      // kUpdateIndexStale skips the rebuild after an UPDATE wholesale (keys
+      // go stale); kPartialIndexUpdateMiss never recomputes partial-index
+      // membership on row mutations (entries keep pre-mutation keys and
+      // positions; dangling ones are bounds-guarded at scan time).
       RebuildIndex(&index, *table);
-      RefreshIndexVis(&index, *table);
     }
+    RefreshIndexVis(&index, *table);
   }
 }
 
@@ -1891,9 +1924,9 @@ StatementResult Database::ExecuteRollback() {
   return StatementResult::Ok();
 }
 
-std::vector<Database::ImageRow> Database::BuildReadImage(TableData* table,
-                                                         const Transaction* txn,
-                                                         bool for_select) {
+Database::ReadImage Database::BuildReadImage(TableData* table,
+                                             const Transaction* txn,
+                                             bool for_select) {
   const uint64_t snap =
       (txn != nullptr && txn->open) ? txn->begin_ts : commit_clock_;
   const TxnWrites* own = nullptr;
@@ -1901,15 +1934,14 @@ std::vector<Database::ImageRow> Database::BuildReadImage(TableData* table,
     auto wit = txn->writes.find(table->name);
     if (wit != txn->writes.end()) own = &wit->second;
   }
-  std::vector<ImageRow> image;
-  image.reserve(table->store.size());
-  auto push = [&](const std::vector<SqlValue>& data, size_t pos,
-                  int own_insert) {
-    ImageRow ir;
-    ir.data = data;
-    ir.pos = pos;
-    ir.own_insert = own_insert;
-    image.push_back(std::move(ir));
+  ReadImage image;
+  image.rows.reserve(table->store.size());
+  image.pos.reserve(table->store.size());
+  image.own_insert.reserve(table->store.size());
+  auto push = [&](const StoredRow& data, size_t pos, int own_insert) {
+    image.rows.push_back(data);
+    image.pos.push_back(pos);
+    image.own_insert.push_back(own_insert);
   };
   table->store.ForEachBatch(
       [&](size_t base, const std::vector<SqlValue>* rows, size_t n) {
@@ -1988,345 +2020,38 @@ std::vector<Database::ImageRow> Database::BuildReadImage(TableData* table,
   return image;
 }
 
-StatementResult Database::CheckConstraintsImage(
-    const TableData& table, const std::vector<SqlValue>& candidate,
-    const std::vector<ImageRow>& image,
-    const std::vector<std::vector<SqlValue>>& pending, int exclude_row) {
-  for (size_t c = 0; c < table.columns.size(); ++c) {
-    const ColumnDef& col = table.columns[c];
-    bool needs_value =
-        col.not_null ||
-        (col.primary_key && dialect_ != Dialect::kSqliteFlex);
-    if (needs_value && candidate[c].is_null()) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "NOT NULL constraint failed: " +
-                                          col.name);
-    }
-    bool must_be_distinct = col.unique || col.primary_key;
-    if (!must_be_distinct || candidate[c].is_null()) continue;
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return !other[c].is_null() && ValueEquals(other[c], candidate[c]);
-    };
-    for (size_t i = 0; i < image.size(); ++i) {
-      if (static_cast<int>(i) == exclude_row) continue;
-      if (collides(image[i].data)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "UNIQUE constraint failed: " +
-                                            col.name);
-      }
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "UNIQUE constraint failed: " +
-                                            col.name);
-      }
-    }
-  }
-
-  const RowSchema& schema = table.schema;
-  EvalContext ctx{dialect_, &bugs_};
-  for (const IndexData& index : indexes_) {
-    if (!index.unique || index.table_name != table.name) continue;
-    if (!RowCoveredByPartialCode(index.where.get(), index.where_code, schema,
-                                 ctx, candidate)) {
-      continue;
-    }
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return RowCoveredByPartialCode(index.where.get(), index.where_code,
-                                     schema, ctx, other) &&
-             KeyColumnsCollide(index.key_cols, other, candidate);
-    };
-    for (size_t i = 0; i < image.size(); ++i) {
-      if (static_cast<int>(i) == exclude_row) continue;
-      if (collides(image[i].data)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "unique index constraint failed: " +
-                                            index.name);
-      }
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "unique index constraint failed: " +
-                                            index.name);
-      }
-    }
-  }
-  return StatementResult::Ok();
-}
-
 void Database::CorruptIndexesFromAbort(TableData* table,
                                        const Transaction& txn) {
   // Rebuild the table's indexes from the aborted transaction's overlay
   // image — as if index maintenance had been done eagerly per-statement and
   // ROLLBACK forgot to undo it. Own-insert rows get positions past the
   // heap; discarded updates keep real positions under discarded keys.
-  std::vector<ImageRow> image =
-      BuildReadImage(table, &txn, /*for_select=*/false);
+  ReadImage image = BuildReadImage(table, &txn, /*for_select=*/false);
   EvalContext ctx{dialect_, &bugs_};
   for (IndexData& index : indexes_) {
     if (index.table_name != table->name) continue;
     index.entries.clear();
-    for (const ImageRow& ir : image) {
+    for (size_t i = 0; i < image.rows.size(); ++i) {
+      const StoredRow& row = image.rows[i];
       if (!RowCoveredByPartialCode(index.where.get(), index.where_code,
-                                   table->schema, ctx, ir.data)) {
+                                   table->schema, ctx, row)) {
         continue;
       }
       std::pair<std::vector<SqlValue>, size_t> entry;
       entry.first.reserve(index.key_cols.size());
       for (int c : index.key_cols) {
-        entry.first.push_back(ir.data[static_cast<size_t>(c)]);
+        entry.first.push_back(row[static_cast<size_t>(c)]);
       }
-      entry.second = ir.own_insert >= 0
+      entry.second = image.own_insert[i] >= 0
                          ? table->store.size() +
-                               static_cast<size_t>(ir.own_insert)
-                         : ir.pos;
+                               static_cast<size_t>(image.own_insert[i])
+                         : image.pos[i];
       index.entries.push_back(std::move(entry));
     }
     std::sort(index.entries.begin(), index.entries.end(), KeyEntryLess);
     index.vis.assign(index.entries.size(), IndexData::EntryVis{});
   }
   rollback_corrupted_.insert(table->name);
-}
-
-StatementResult Database::ExecuteTxnInsert(const InsertStmt& stmt) {
-  if (Transaction* txn = CurrentTxn()) return TxnInsertInto(stmt, txn);
-  // Autocommit during the epoch: an implicit single-statement transaction
-  // at the latest snapshot, committed immediately. It can never conflict —
-  // no other commit can interleave within one statement.
-  Transaction local;
-  local.open = true;
-  local.begin_ts = commit_clock_;
-  StatementResult r = TxnInsertInto(stmt, &local);
-  if (r.ok()) ApplyCommit(&local);
-  return r;
-}
-
-StatementResult Database::ExecuteTxnUpdate(const UpdateStmt& stmt) {
-  if (Transaction* txn = CurrentTxn()) return TxnUpdateInto(stmt, txn);
-  Transaction local;
-  local.open = true;
-  local.begin_ts = commit_clock_;
-  StatementResult r = TxnUpdateInto(stmt, &local);
-  if (r.ok()) ApplyCommit(&local);
-  return r;
-}
-
-StatementResult Database::ExecuteTxnDelete(const DeleteStmt& stmt) {
-  if (Transaction* txn = CurrentTxn()) return TxnDeleteInto(stmt, txn);
-  Transaction local;
-  local.open = true;
-  local.begin_ts = commit_clock_;
-  StatementResult r = TxnDeleteInto(stmt, &local);
-  if (r.ok()) ApplyCommit(&local);
-  return r;
-}
-
-StatementResult Database::TxnInsertInto(const InsertStmt& stmt,
-                                        Transaction* txn) {
-  TableData* table = FindTable(stmt.table_name);
-  if (table == nullptr) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "no such table: " + stmt.table_name);
-  }
-  Mark(Feature::kInsert);
-  if (stmt.rows.size() > 1) Mark(Feature::kMultiRowInsert);
-
-  std::vector<ImageRow> image =
-      BuildReadImage(table, txn, /*for_select=*/false);
-  EvalContext ctx{dialect_, &bugs_};
-  RowView no_row;
-  std::vector<std::vector<SqlValue>> accepted;
-  for (const auto& row_exprs : stmt.rows) {
-    if (row_exprs.size() != table->columns.size()) {
-      return StatementResult::Failure(
-          StatementStatus::kError,
-          "value count does not match column count");
-    }
-    std::vector<SqlValue> row;
-    row.reserve(row_exprs.size());
-    for (size_t c = 0; c < row_exprs.size(); ++c) {
-      if (row_exprs[c] == nullptr) {
-        return StatementResult::Failure(StatementStatus::kError,
-                                        "missing value expression");
-      }
-      const Expr& cell = *row_exprs[c];
-      EvalResult v = cell.kind == ExprKind::kLiteral
-                         ? EvalResult::Of(cell.literal)
-                         : Evaluate(cell, no_row, ctx);
-      if (v.error) {
-        return StatementResult::Failure(StatementStatus::kError, v.message);
-      }
-      StatementResult failure;
-      if (!CoerceForInsert(table->columns[c], &v.value, &failure)) {
-        return failure;
-      }
-      row.push_back(std::move(v.value));
-    }
-    StatementResult violation =
-        CheckConstraintsImage(*table, row, image, accepted, -1);
-    if (!violation.ok()) return violation;  // statement-level rollback
-    accepted.push_back(std::move(row));
-  }
-  // Nothing reached the write set until every row passed; apply now.
-  TxnWrites& w = txn->writes[table->name];
-  for (auto& row : accepted) {
-    w.inserted.push_back(std::move(row));
-    w.inserted_alive.push_back(1);
-  }
-  return StatementResult::Ok();
-}
-
-StatementResult Database::TxnUpdateInto(const UpdateStmt& stmt,
-                                        Transaction* txn) {
-  TableData* table = FindTable(stmt.table_name);
-  if (table == nullptr) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "no such table: " + stmt.table_name);
-  }
-  const RowSchema& schema = table->schema;
-  std::vector<std::pair<size_t, const Expr*>> targets;
-  for (const UpdateStmt::Assignment& a : stmt.assignments) {
-    int c = schema.IndexOf(table->name, a.column);
-    if (c < 0) {
-      return StatementResult::Failure(StatementStatus::kError,
-                                      "no such column: " + a.column);
-    }
-    if (a.value == nullptr) {
-      return StatementResult::Failure(StatementStatus::kError,
-                                      "missing assignment expression");
-    }
-    targets.emplace_back(static_cast<size_t>(c), a.value.get());
-  }
-  if (targets.empty()) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "UPDATE without assignments");
-  }
-
-  Mark(Feature::kUpdate);
-  if (stmt.where == nullptr) Mark(Feature::kUpdateAllRows);
-  if (stmt.where != nullptr) MarkExprFeatures(*stmt.where);
-  for (const UpdateStmt::Assignment& a : stmt.assignments) {
-    if (a.value != nullptr) MarkExprFeatures(*a.value);
-  }
-
-  EvalContext ctx{dialect_, &bugs_};
-  std::vector<ImageRow> image =
-      BuildReadImage(table, txn, /*for_select=*/false);
-
-  // Pass 1: the matched set, decided on the pre-update snapshot image.
-  CompiledExpr where_code;
-  if (stmt.where != nullptr) {
-    where_code = CompileExpr(*stmt.where, schema, dialect_);
-  }
-  std::vector<size_t> matched;
-  for (size_t i = 0; i < image.size(); ++i) {
-    bool hit = true;
-    if (stmt.where != nullptr) {
-      RowView view{&schema, &image[i].data};
-      EvalResult v = where_code.Run(view, ctx);
-      if (v.error) {
-        return StatementResult::Failure(StatementStatus::kError,
-                                        "UPDATE WHERE evaluation failed");
-      }
-      hit = Truthiness(v.value, dialect_) == Bool3::kTrue;
-    }
-    if (hit) matched.push_back(i);
-  }
-  if (matched.empty()) return StatementResult::Ok();
-
-  // Pass 2: apply in image order with immediate per-row constraint checks
-  // (the SQLite visit-and-check model). Everything is buffered locally —
-  // the write set is only touched once all matched rows pass, which is the
-  // statement-level rollback.
-  std::vector<CompiledExpr> target_code;
-  target_code.reserve(targets.size());
-  for (const auto& [c, value_expr] : targets) {
-    (void)c;
-    target_code.push_back(CompileExpr(*value_expr, schema, dialect_));
-  }
-  std::vector<std::pair<size_t, std::vector<SqlValue>>> changes;
-  changes.reserve(matched.size());
-  for (size_t i : matched) {
-    RowView view{&schema, &image[i].data};
-    std::vector<SqlValue> updated = image[i].data;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      EvalResult v = target_code[t].Run(view, ctx);
-      if (v.error) {
-        return StatementResult::Failure(StatementStatus::kError, v.message);
-      }
-      StatementResult failure;
-      if (!CoerceForInsert(table->columns[targets[t].first], &v.value,
-                           &failure)) {
-        return failure;
-      }
-      updated[targets[t].first] = std::move(v.value);
-    }
-    StatementResult violation = CheckConstraintsImage(
-        *table, updated, image, {}, static_cast<int>(i));
-    if (!violation.ok()) return violation;
-    image[i].data = updated;  // later checks see this statement's writes
-    changes.emplace_back(i, std::move(updated));
-  }
-  TxnWrites& w = txn->writes[table->name];
-  for (auto& [i, row] : changes) {
-    if (image[i].own_insert >= 0) {
-      w.inserted[static_cast<size_t>(image[i].own_insert)] = std::move(row);
-    } else {
-      w.updated[image[i].pos] = std::move(row);
-    }
-  }
-  return StatementResult::Ok();
-}
-
-StatementResult Database::TxnDeleteInto(const DeleteStmt& stmt,
-                                        Transaction* txn) {
-  TableData* table = FindTable(stmt.table_name);
-  if (table == nullptr) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "no such table: " + stmt.table_name);
-  }
-  Mark(Feature::kDelete);
-  if (stmt.where != nullptr) MarkExprFeatures(*stmt.where);
-
-  const RowSchema& schema = table->schema;
-  EvalContext ctx{dialect_, &bugs_};
-  std::vector<ImageRow> image =
-      BuildReadImage(table, txn, /*for_select=*/false);
-  CompiledExpr where_code;
-  if (stmt.where != nullptr) {
-    where_code = CompileExpr(*stmt.where, schema, dialect_);
-  }
-  std::vector<size_t> matched;
-  for (size_t i = 0; i < image.size(); ++i) {
-    bool hit = true;
-    if (stmt.where != nullptr) {
-      RowView view{&schema, &image[i].data};
-      EvalResult v = where_code.Run(view, ctx);
-      if (v.error) {
-        return StatementResult::Failure(StatementStatus::kError,
-                                        "DELETE WHERE evaluation failed");
-      }
-      hit = Truthiness(v.value, dialect_) == Bool3::kTrue;
-    }
-    if (hit) matched.push_back(i);
-  }
-  TxnWrites& w = txn->writes[table->name];
-  for (size_t i : matched) {
-    if (image[i].own_insert >= 0) {
-      w.inserted_alive[static_cast<size_t>(image[i].own_insert)] = 0;
-    } else {
-      w.updated.erase(image[i].pos);
-      w.deleted.insert(image[i].pos);
-    }
-  }
-  return StatementResult::Ok();
 }
 
 Database::TableData* Database::FindTable(const std::string& name) {

@@ -140,12 +140,12 @@ class Database : public Connection {
     uint64_t begin_ts = 0;  // snapshot: sees commits with ts <= begin_ts
     std::map<std::string, TxnWrites> writes;
   };
-  // One row of a transaction's read image, with provenance so the DML paths
-  // can route writes back to the store position or own-insert they hit.
-  struct ImageRow {
-    std::vector<SqlValue> data;
-    size_t pos = 0;       // store position (valid when own_insert < 0)
-    int own_insert = -1;  // index into the transaction's inserted list
+  // A transaction's read image of one table, with provenance so DML can
+  // route writes back to the store position or own insert they hit.
+  struct ReadImage {
+    std::vector<StoredRow> rows;
+    std::vector<size_t> pos;      // store position (valid when own_insert < 0)
+    std::vector<int> own_insert;  // index into the inserted list, or -1
   };
   struct TableData {
     std::string name;
@@ -197,6 +197,44 @@ class Database : public Connection {
     std::vector<EntryVis> vis;
   };
 
+  // --- The write path (DESIGN §9). ----------------------------------------
+  // INSERT, UPDATE and DELETE each read their target rows from a RowSource,
+  // check constraints over it, and hand their Effect to Sink().
+  //
+  // The source is the heap itself (page-batched, no copies) when no
+  // transaction is open and no version metadata exists; otherwise it is the
+  // snapshot-plus-own-writes image of the active session. A row's source
+  // index is its store position on the heap and its image index otherwise.
+  struct RowSource {
+    TableData* table = nullptr;
+    Transaction* txn = nullptr;  // the active session's open transaction
+    bool heap = true;
+    ReadImage image;  // when !heap
+    // UPDATE's statement journal on the heap: (position, pre-image).
+    std::vector<std::pair<size_t, StoredRow>> undo;
+
+    template <typename Fn>
+    void ForEachBatch(Fn&& fn) const {
+      if (heap) {
+        table->store.ForEachBatch(fn);
+      } else {
+        fn(size_t{0}, image.rows.data(), image.rows.size());
+      }
+    }
+    // UPDATE's visit-and-check step: the new row replaces row `i` at once,
+    // so later rows' constraint checks see it. The heap journals `pre` for
+    // Rollback(); an image is discarded on failure anyway.
+    void Write(size_t i, StoredRow row, StoredRow pre);
+    void Rollback();
+  };
+  // One statement's effect on its table, in source indices.
+  struct Effect {
+    StmtKind kind;
+    std::vector<StoredRow> rows;  // INSERT: new rows; heap DELETE: scan copy
+    std::vector<size_t> updated;  // UPDATE: rows already rewritten in source
+    std::vector<char> deleted;    // DELETE: per scanned row, 1 = delete
+  };
+
   StatementResult ExecuteCreateTable(const CreateTableStmt& stmt);
   StatementResult ExecuteCreateIndex(const CreateIndexStmt& stmt);
   StatementResult ExecuteDropIndex(const DropIndexStmt& stmt);
@@ -210,15 +248,26 @@ class Database : public Connection {
   StatementResult ExecuteBegin();
   StatementResult ExecuteCommit();
   StatementResult ExecuteRollback();
-  // During the epoch all DML is diverted here: inside a transaction it
-  // buffers into the write set; outside one it runs as an implicit
-  // single-statement transaction committed immediately.
-  StatementResult ExecuteTxnInsert(const InsertStmt& stmt);
-  StatementResult ExecuteTxnUpdate(const UpdateStmt& stmt);
-  StatementResult ExecuteTxnDelete(const DeleteStmt& stmt);
-  StatementResult TxnInsertInto(const InsertStmt& stmt, Transaction* txn);
-  StatementResult TxnUpdateInto(const UpdateStmt& stmt, Transaction* txn);
-  StatementResult TxnDeleteInto(const DeleteStmt& stmt, Transaction* txn);
+
+  RowSource OpenSource(TableData* table);
+  // Inside an open transaction the effect goes to its write set (even an
+  // empty one: the table is then under first-committer-wins). Otherwise it
+  // is applied at once: as an implicit single-statement transaction while
+  // another transaction's snapshot could read the old versions, in place
+  // on the heap when none is open.
+  void Sink(RowSource* src, Effect* effect);
+  // Moves an image-sourced effect into write set `w`.
+  static void Buffer(RowSource* src, Effect* effect, TxnWrites* w);
+  // Applies `w` to `table` at commit timestamp `ts`, keeping the replaced
+  // versions and tombstones for older snapshots.
+  void ApplyVersions(TableData* table, TxnWrites* w, uint64_t ts);
+  // Index maintenance after a write to `table`: pure appends add entries
+  // for `appended`; updates or deletes rebuild — except where an injected
+  // bug skips it (kUpdateIndexStale, kPartialIndexUpdateMiss, and
+  // `desync` for kIndexHeapDesync). Refreshes version visibility in the
+  // epoch.
+  void MaintainIndexes(TableData* table, const std::vector<size_t>& appended,
+                       bool updated, bool deleted, bool desync);
   // Returns the active session's open transaction, or nullptr.
   Transaction* CurrentTxn();
   // Starts version bookkeeping on first BEGIN: every existing row gets meta
@@ -230,24 +279,16 @@ class Database : public Connection {
   // stays monotonic so later epochs never reuse timestamps.
   void PruneHistory();
   void PruneIfQuiescent();
-  // First-committer-wins check + version-chain apply at a fresh commit
-  // timestamp. Returns false on write conflict (nothing applied).
+  // First-committer-wins check. True on write conflict.
   bool CommitConflicts(const Transaction& txn) const;
+  // Applies every non-empty write set at one fresh commit timestamp.
   void ApplyCommit(Transaction* txn);
   // The rows `txn` (nullable = autocommit reader) sees in `table`:
   // snapshot-visible committed versions overlaid with the transaction's own
   // writes. `for_select` enables the read-path bug hooks (dirty read /
   // uncommitted-version read), which must not leak into DML matched sets.
-  std::vector<ImageRow> BuildReadImage(TableData* table,
-                                       const Transaction* txn,
-                                       bool for_select);
-  // CheckConstraints against a read image instead of the store: collision
-  // scans run over `image` rows (skipping `exclude_row`, an index into
-  // `image`) plus the statement's own `pending` rows.
-  StatementResult CheckConstraintsImage(
-      const TableData& table, const std::vector<SqlValue>& candidate,
-      const std::vector<ImageRow>& image,
-      const std::vector<std::vector<SqlValue>>& pending, int exclude_row);
+  ReadImage BuildReadImage(TableData* table, const Transaction* txn,
+                           bool for_select);
   // Rebuilds `index->vis` from the owning table's row meta (clears it
   // outside the epoch).
   void RefreshIndexVis(IndexData* index, const TableData& table);
@@ -277,14 +318,14 @@ class Database : public Connection {
                      const EvalContext& ctx, std::vector<size_t>* positions,
                      bool* used_partial);
 
-  // Returns an error/violation result if `candidate` (to be added to
-  // `table`) breaks a declared constraint, also considering `pending` rows
-  // of the same statement. `exclude_row` (≥ 0) skips one stored row in the
-  // collision scans — the row an UPDATE is about to replace.
-  StatementResult CheckConstraints(
-      const TableData& table, const std::vector<SqlValue>& candidate,
-      const std::vector<std::vector<SqlValue>>& pending,
-      int exclude_row = -1);
+  // Returns an error/violation result if `candidate` (to be added to the
+  // source's table) breaks a declared constraint, also considering
+  // `pending` rows of the same statement. `exclude_row` (≥ 0) skips one
+  // source row in the collision scans — the row an UPDATE is replacing.
+  StatementResult CheckConstraints(const RowSource& src,
+                                   const StoredRow& candidate,
+                                   const std::vector<StoredRow>& pending,
+                                   int exclude_row);
   // Applies dialect insert-position coercion of `value` into `col`.
   // Returns false (and fills *failure) when the dialect rejects the value.
   bool CoerceForInsert(const ColumnDef& col, SqlValue* value,

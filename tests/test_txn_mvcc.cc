@@ -206,6 +206,35 @@ void TestFirstCommitterWins() {
   CHECK(r2.ok() && r2.rows.size() == 1 && r2.rows[0][1].t == "b");
 }
 
+// A predicate DML that matched nothing still puts its table under
+// first-committer-wins. This is the interleaving behind a former false
+// finding (txn-minidb, seed 33): the serial replay re-runs the committed
+// DELETE after the concurrent INSERT, where its predicate matches the new
+// row — so the transaction must abort instead of committing a no-op.
+void TestEmptyPredicateDmlConflicts() {
+  for (bool use_delete : {true, false}) {
+    minidb::Database db(Dialect::kSqliteFlex);
+    CHECK(db.Execute(*MakeTable("t")).ok());
+    CHECK(db.Execute(*InsertRow("t", 1, "a")).ok());
+
+    // 1. Session 2's transaction runs a predicate DML matching no row.
+    CHECK(Session(&db, 2).ok());
+    CHECK(Begin(&db).ok());
+    StmtPtr dml = use_delete ? DeleteWhereAEq("t", -7)
+                             : UpdateBWhereAEq("t", -7, "x");
+    CHECK(db.Execute(*dml).ok());
+    // 2. Session 0 autocommits a row the predicate matches.
+    CHECK(Session(&db, 0).ok());
+    CHECK(db.Execute(*InsertRow("t", -7, "b")).ok());
+    // 3. Session 2's COMMIT loses first-committer-wins.
+    CHECK(Session(&db, 2).ok());
+    CHECK(Commit(&db).status == StatementStatus::kTxnConflict);
+
+    StatementResult r = db.Execute(SelectWhereAEq("t", -7));
+    CHECK(r.ok() && r.rows.size() == 1 && r.rows[0][1].t == "b");
+  }
+}
+
 void TestAutocommitDuringEpoch() {
   minidb::Database db(Dialect::kSqliteFlex);
   CHECK(db.Execute(*MakeTable("t")).ok());
@@ -652,6 +681,7 @@ int main(int argc, char** argv) {
   pqs::TestRollbackDiscards();
   pqs::TestTransactionStatementErrors();
   pqs::TestFirstCommitterWins();
+  pqs::TestEmptyPredicateDmlConflicts();
   pqs::TestAutocommitDuringEpoch();
   pqs::TestResetWithOpenTransaction();
   pqs::TestSqliteResetWithOpenTransaction();

@@ -1796,44 +1796,41 @@ void Database::Sink(RowSource* src, Effect* effect) {
     if (!w.Empty()) ApplyVersions(table, &w, ++commit_clock_);
     return;
   }
-  switch (effect->kind) {
-    case StmtKind::kInsert: {
-      std::vector<size_t> appended;
-      appended.reserve(effect->rows.size());
-      for (StoredRow& row : effect->rows) {
-        appended.push_back(table->store.Append(std::move(row)));
-      }
-      MaintainIndexes(table, appended, false, false, false);
-      return;
+  if (effect->kind == StmtKind::kInsert) {
+    std::vector<size_t> appended;
+    appended.reserve(effect->rows.size());
+    for (StoredRow& row : effect->rows) {
+      appended.push_back(table->store.Append(std::move(row)));
     }
-    case StmtKind::kUpdate:
-      // The rows were rewritten in place by the statement's visit loop.
-      if (!effect->updated.empty()) MaintainIndexes(table, {}, true, false, false);
-      return;
-    default: {
-      // kIndexHeapDesync: on a multi-page table, the DELETE's index rebuild
-      // is driven by a "pages dirtied" bitmap that only covers the doomed
-      // pages — but the compaction below shifts every surviving row after
-      // the first doomed position across page boundaries, so the rebuild is
-      // skipped wholesale here and the index keeps pre-compaction positions.
-      // Probes then resolve to the wrong row (filtered out by the WHERE
-      // re-check) or to nothing (bounds-guarded), and rows go missing from
-      // index-assisted scans only; the heap itself — and with it the bare
-      // state comparison — stays correct.
-      const std::vector<char>& doomed = effect->deleted;
-      bool desync = BugOn(BugId::kIndexHeapDesync) &&
-                    std::find(doomed.begin(), doomed.end(), 1) != doomed.end() &&
-                    table->store.paged() && table->store.page_count() >= 2;
-      std::vector<StoredRow> kept;
-      kept.reserve(effect->rows.size());
-      for (size_t r = 0; r < effect->rows.size(); ++r) {
-        if (!doomed[r]) kept.push_back(std::move(effect->rows[r]));
-      }
-      table->store.ReplaceAll(std::move(kept));
-      MaintainIndexes(table, {}, false, true, desync);
-      return;
-    }
+    MaintainIndexes(table, appended, false, false, false);
+    return;
   }
+  if (effect->kind == StmtKind::kUpdate) {
+    // The statement's visit loop already rewrote the rows in place.
+    if (!effect->updated.empty()) MaintainIndexes(table, {}, true, false, false);
+    return;
+  }
+  // DELETE: compact the heap from the rows the statement's scan read.
+  // kIndexHeapDesync: on a multi-page table, the DELETE's index rebuild is
+  // driven by a "pages dirtied" bitmap that only covers the doomed pages —
+  // but the compaction shifts every surviving row after the first doomed
+  // position across page boundaries, so the rebuild is skipped wholesale
+  // and the index keeps pre-compaction positions. Probes then resolve to
+  // the wrong row (filtered out by the WHERE re-check) or to nothing
+  // (bounds-guarded), and rows go missing from index-assisted scans only;
+  // the heap itself — and with it the bare state comparison — stays
+  // correct.
+  const std::vector<char>& doomed = effect->deleted;
+  bool desync = BugOn(BugId::kIndexHeapDesync) &&
+                std::find(doomed.begin(), doomed.end(), 1) != doomed.end() &&
+                table->store.paged() && table->store.page_count() >= 2;
+  std::vector<StoredRow> kept;
+  kept.reserve(effect->rows.size());
+  for (size_t r = 0; r < effect->rows.size(); ++r) {
+    if (!doomed[r]) kept.push_back(std::move(effect->rows[r]));
+  }
+  table->store.ReplaceAll(std::move(kept));
+  MaintainIndexes(table, {}, false, true, desync);
 }
 
 void Database::Buffer(RowSource* src, Effect* effect, TxnWrites* w) {

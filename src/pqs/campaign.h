@@ -30,10 +30,10 @@ struct CampaignOptions {
   // (480 holds the whole 42-bug registry's worst observed detection
   // latency across seeds with headroom; the heavy tail moved from the
   // data-dependent expression bugs to the index-maintenance classes —
-  // update-index-stale and partial-index-update-miss need an UPDATE to an
-  // indexed column *and* a prompt index-scanned query over it, observed up
-  // to ~410 databases on adversarial seeds. Cheap on average: HuntBug
-  // stops at the first finding, so only the tail pays.)
+  // partial-index-update-miss and index-heap-desync need a mutation that
+  // moves index entries *and* a prompt index-scanned query over it,
+  // observed up to ~400 databases on adversarial seeds. Cheap on average:
+  // HuntBug stops at the first finding, so only the tail pays.)
   int databases_per_bug = 480;
   // ...with this many oracle-checked queries each.
   int queries_per_database = 20;

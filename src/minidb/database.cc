@@ -1807,7 +1807,9 @@ void Database::Sink(RowSource* src, Effect* effect) {
   }
   if (effect->kind == StmtKind::kUpdate) {
     // The statement's visit loop already rewrote the rows in place.
-    if (!effect->updated.empty()) MaintainIndexes(table, {}, true, false, false);
+    if (!effect->updated.empty()) {
+      MaintainIndexes(table, {}, true, false, false);
+    }
     return;
   }
   // DELETE: compact the heap from the rows the statement's scan read.

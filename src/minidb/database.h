@@ -229,7 +229,7 @@ class Database : public Connection {
   };
   // One statement's effect on its table, in source indices.
   struct Effect {
-    StmtKind kind;
+    StmtKind kind = StmtKind::kInsert;
     std::vector<StoredRow> rows;  // INSERT: new rows; heap DELETE: scan copy
     std::vector<size_t> updated;  // UPDATE: rows already rewritten in source
     std::vector<char> deleted;    // DELETE: per scanned row, 1 = delete

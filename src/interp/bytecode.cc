@@ -198,14 +198,14 @@ EvalResult CompiledExpr::Run(const RowView& row, const EvalContext& ctx) const {
         SqlValue& v = stack.back();
         if (v.is_null()) {
           v = SqlValue::Null();
-        } else if (v.cls == StorageClass::kInteger) {
-          v = SqlValue::Int(-v.i);
-        } else if (v.cls == StorageClass::kReal) {
-          v = SqlValue::Real(-v.r);
+        } else if (v.cls() == StorageClass::kInteger) {
+          v = SqlValue::Int(-v.i());
+        } else if (v.cls() == StorageClass::kReal) {
+          v = SqlValue::Real(-v.r());
         } else if (ctx.dialect == Dialect::kPostgresStrict) {
           return bail(EvalResult::Error("operator does not exist: -text"));
         } else {
-          v = SqlValue::Real(-ParseNumericPrefix(v.t));
+          v = SqlValue::Real(-ParseNumericPrefix(v.text_cstr()));
         }
         break;
       }
@@ -414,14 +414,14 @@ void CompiledExpr::RunBatch(const RowSchema& schema,
           SqlValue& v = c[i];
           if (v.is_null()) {
             v = SqlValue::Null();
-          } else if (v.cls == StorageClass::kInteger) {
-            v = SqlValue::Int(-v.i);
-          } else if (v.cls == StorageClass::kReal) {
-            v = SqlValue::Real(-v.r);
+          } else if (v.cls() == StorageClass::kInteger) {
+            v = SqlValue::Int(-v.i());
+          } else if (v.cls() == StorageClass::kReal) {
+            v = SqlValue::Real(-v.r());
           } else if (ctx.dialect == Dialect::kPostgresStrict) {
             poison(i, EvalResult::Error("operator does not exist: -text"));
           } else {
-            v = SqlValue::Real(-ParseNumericPrefix(v.t));
+            v = SqlValue::Real(-ParseNumericPrefix(v.text_cstr()));
           }
         }
         break;

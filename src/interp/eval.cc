@@ -35,18 +35,7 @@ int RowSchema::Resolve(const Expr& column_ref) const {
 
 namespace {
 
-bool TextEqualsFold(const std::string& a, const std::string& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-int TextCompareFold(const std::string& a, const std::string& b) {
+int TextCompareFold(std::string_view a, std::string_view b) {
   size_t n = a.size() < b.size() ? a.size() : b.size();
   for (size_t i = 0; i < n; ++i) {
     int ca = std::tolower(static_cast<unsigned char>(a[i]));
@@ -69,7 +58,7 @@ namespace evalin {
 // like real SQLite.
 SqlValue ArithValue(const SqlValue& v) {
   if (v.is_numeric()) return v;
-  const char* begin = v.t.c_str();
+  const char* begin = v.text_cstr();
   char* int_end = nullptr;
   long long as_int = strtoll(begin, &int_end, 10);
   char* real_end = nullptr;
@@ -87,7 +76,7 @@ namespace {
 
 bool IsNegativeIntLiteral(const Expr& e) {
   return e.kind == ExprKind::kLiteral &&
-         e.literal.cls == StorageClass::kInteger && e.literal.i < 0;
+         e.literal.cls() == StorageClass::kInteger && e.literal.i() < 0;
 }
 
 // Explicit collation of a comparison, SQLite's determination rule reduced
@@ -126,7 +115,7 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
   if (ctx.BugEnabled(BugId::kCollationMismatchError) && lhs != nullptr &&
       rhs != nullptr && lhs->kind == ExprKind::kColumnRef &&
       rhs->kind == ExprKind::kColumnRef &&
-      a.cls == StorageClass::kText && b.cls == StorageClass::kText) {
+      a.cls() == StorageClass::kText && b.cls() == StorageClass::kText) {
     return EvalResult::Error("could not determine collation for comparison");
   }
   if (a.is_null() || b.is_null()) return EvalResult::Of(SqlValue::Null());
@@ -136,12 +125,12 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
     double da = a.AsReal();
     double db = b.AsReal();
     if (ctx.BugEnabled(BugId::kRealTruncCompare) &&
-        (a.cls == StorageClass::kReal) != (b.cls == StorageClass::kReal)) {
+        (a.cls() == StorageClass::kReal) != (b.cls() == StorageClass::kReal)) {
       da = std::trunc(da);
       db = std::trunc(db);
     }
     cmp = da < db ? -1 : (da > db ? 1 : 0);
-  } else if (a.cls == StorageClass::kText && b.cls == StorageClass::kText) {
+  } else if (a.cls() == StorageClass::kText && b.cls() == StorageClass::kText) {
     Collation explicit_coll = Collation::kBinary;
     bool has_explicit = ExplicitCollation(lhs, rhs, &explicit_coll);
     bool fold = has_explicit ? explicit_coll == Collation::kNocase
@@ -156,12 +145,12 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
     if (fold) {
       // Case-insensitive: MySQL's default collation, or an explicit
       // COLLATE NOCASE in any dialect.
-      cmp = TextCompareFold(a.t, b.t);
+      cmp = TextCompareFold(a.text(), b.text());
     } else {
-      cmp = a.t.compare(b.t);
+      cmp = a.text().compare(b.text());
       cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
     }
-    if (op == BinaryOp::kEq && cmp == 0 && a.t.size() > 1 &&
+    if (op == BinaryOp::kEq && cmp == 0 && a.text().size() > 1 &&
         ctx.BugEnabled(BugId::kTextEqInterning)) {
       return EvalResult::Of(SqlValue::Bool(false));
     }
@@ -179,11 +168,11 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
           da = a.AsReal();
           db = ctx.BugEnabled(BugId::kStrNumCoercionPrefix)
                    ? 0.0
-                   : ParseNumericPrefix(b.t);
+                   : ParseNumericPrefix(b.text_cstr());
         } else {
           da = ctx.BugEnabled(BugId::kStrNumCoercionPrefix)
                    ? 0.0
-                   : ParseNumericPrefix(a.t);
+                   : ParseNumericPrefix(a.text_cstr());
           db = b.AsReal();
         }
         cmp = da < db ? -1 : (da > db ? 1 : 0);
@@ -224,7 +213,7 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
 EvalResult Arithmetic(const Expr& node, const SqlValue& a, const SqlValue& b,
                       const EvalContext& ctx) {
   if (ctx.dialect == Dialect::kPostgresStrict &&
-      (a.cls == StorageClass::kText || b.cls == StorageClass::kText)) {
+      (a.cls() == StorageClass::kText || b.cls() == StorageClass::kText)) {
     return EvalResult::Error("operator does not exist: arithmetic on text");
   }
   if (a.is_null() || b.is_null()) return EvalResult::Of(SqlValue::Null());
@@ -232,8 +221,8 @@ EvalResult Arithmetic(const Expr& node, const SqlValue& a, const SqlValue& b,
   BinaryOp op = node.bop;
   SqlValue ca = ArithValue(a);
   SqlValue cb = ArithValue(b);
-  bool int_math = ca.cls == StorageClass::kInteger &&
-                  cb.cls == StorageClass::kInteger;
+  bool int_math = ca.cls() == StorageClass::kInteger &&
+                  cb.cls() == StorageClass::kInteger;
   if (op == BinaryOp::kDiv) {
     double divisor = cb.AsReal();
     if (divisor == 0.0) {
@@ -247,15 +236,15 @@ EvalResult Arithmetic(const Expr& node, const SqlValue& a, const SqlValue& b,
     }
     if (int_math) {
       // Integer division truncates toward zero in all three dialects.
-      return EvalResult::Of(SqlValue::Int(ca.i / cb.i));
+      return EvalResult::Of(SqlValue::Int(ca.i() / cb.i()));
     }
     return EvalResult::Of(SqlValue::Real(ca.AsReal() / divisor));
   }
 
   SqlValue result;
   if (int_math) {
-    uint64_t ua = static_cast<uint64_t>(ca.i);
-    uint64_t ub = static_cast<uint64_t>(cb.i);
+    uint64_t ua = static_cast<uint64_t>(ca.i());
+    uint64_t ub = static_cast<uint64_t>(cb.i());
     uint64_t ur = 0;
     switch (op) {
       case BinaryOp::kAdd:
@@ -307,14 +296,13 @@ EvalResult Arithmetic(const Expr& node, const SqlValue& a, const SqlValue& b,
   return EvalResult::Of(std::move(result));
 }
 
-std::string AsciiFold(const std::string& s, bool to_upper) {
-  std::string out = s;
-  for (char& c : out) {
+std::string AsciiFold(std::string s, bool to_upper) {
+  for (char& c : s) {
     c = to_upper
             ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
             : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  return out;
+  return s;
 }
 
 // Scalar comparator for LEAST/GREATEST: explicit NOCASE-style folding only
@@ -323,8 +311,8 @@ std::string AsciiFold(const std::string& s, bool to_upper) {
 int ScalarMinMaxCompare(const SqlValue& a, const SqlValue& b,
                         const EvalContext& ctx) {
   if (ctx.dialect == Dialect::kMysqlLike &&
-      a.cls == StorageClass::kText && b.cls == StorageClass::kText) {
-    return TextCompareFold(a.t, b.t);
+      a.cls() == StorageClass::kText && b.cls() == StorageClass::kText) {
+    return TextCompareFold(a.text(), b.text());
   }
   return ValueCompare(a, b);
 }
@@ -388,40 +376,42 @@ EvalResult ApplyFunction(const Expr& expr, std::vector<SqlValue> args,
   switch (expr.func) {
     case FuncId::kAbs: {
       const SqlValue& v = args[0];
-      if (v.cls == StorageClass::kText) {
+      if (v.cls() == StorageClass::kText) {
         if (strict) {
           return EvalResult::Error("function abs(text) does not exist");
         }
         SqlValue n = ArithValue(v);
-        return EvalResult::Of(n.cls == StorageClass::kInteger
-                                  ? SqlValue::Int(n.i < 0 ? -n.i : n.i)
-                                  : SqlValue::Real(std::fabs(n.r)));
+        return EvalResult::Of(n.cls() == StorageClass::kInteger
+                                  ? SqlValue::Int(n.i() < 0 ? -n.i() : n.i())
+                                  : SqlValue::Real(std::fabs(n.r())));
       }
-      if (v.cls == StorageClass::kInteger) {
-        return EvalResult::Of(SqlValue::Int(v.i < 0 ? -v.i : v.i));
+      if (v.cls() == StorageClass::kInteger) {
+        return EvalResult::Of(SqlValue::Int(v.i() < 0 ? -v.i() : v.i()));
       }
-      return EvalResult::Of(SqlValue::Real(std::fabs(v.r)));
+      return EvalResult::Of(SqlValue::Real(std::fabs(v.r())));
     }
 
     case FuncId::kLength: {
       const SqlValue& v = args[0];
-      if (v.cls != StorageClass::kText && strict) {
+      if (v.cls() != StorageClass::kText && strict) {
         return EvalResult::Error("function length(non-text) does not exist");
       }
-      std::string s = v.cls == StorageClass::kText ? v.t : v.ToDisplay();
-      return EvalResult::Of(SqlValue::Int(static_cast<int64_t>(s.size())));
+      size_t length = v.cls() == StorageClass::kText ? v.text().size()
+                                                     : v.ToDisplay().size();
+      return EvalResult::Of(SqlValue::Int(static_cast<int64_t>(length)));
     }
 
     case FuncId::kUpper:
     case FuncId::kLower: {
       const SqlValue& v = args[0];
-      if (v.cls != StorageClass::kText && strict) {
+      if (v.cls() != StorageClass::kText && strict) {
         return EvalResult::Error("function upper/lower(non-text) does not "
                                  "exist");
       }
-      std::string s = v.cls == StorageClass::kText ? v.t : v.ToDisplay();
-      return EvalResult::Of(
-          SqlValue::Text(AsciiFold(s, expr.func == FuncId::kUpper)));
+      std::string s = v.cls() == StorageClass::kText ? std::string(v.text())
+                                                     : v.ToDisplay();
+      return EvalResult::Of(SqlValue::Text(
+          AsciiFold(std::move(s), expr.func == FuncId::kUpper)));
     }
 
     case FuncId::kNullif: {
@@ -466,35 +456,35 @@ EvalResult EvaluateCast(const Expr& expr, const SqlValue& v,
   bool strict = ctx.dialect == Dialect::kPostgresStrict;
   switch (expr.cast_to) {
     case Affinity::kInteger: {
-      if (v.cls == StorageClass::kInteger) return EvalResult::Of(v);
-      if (v.cls == StorageClass::kReal) {
+      if (v.cls() == StorageClass::kInteger) return EvalResult::Of(v);
+      if (v.cls() == StorageClass::kReal) {
         // Injected: "truncation" implemented as rounding away from zero —
         // off by one for every fractional value.
         if (ctx.BugEnabled(BugId::kCastTruncAffinity)) {
-          double away = v.r < 0 ? std::floor(v.r) : std::ceil(v.r);
+          double away = v.r() < 0 ? std::floor(v.r()) : std::ceil(v.r());
           return EvalResult::Of(SqlValue::Int(static_cast<int64_t>(away)));
         }
         return EvalResult::Of(
-            SqlValue::Int(static_cast<int64_t>(std::trunc(v.r))));
+            SqlValue::Int(static_cast<int64_t>(std::trunc(v.r()))));
       }
       if (strict) {
         return EvalResult::Error("invalid input syntax for type integer");
       }
-      const char* begin = v.t.c_str();
+      const char* begin = v.text_cstr();
       char* end = nullptr;
       long long prefix = strtoll(begin, &end, 10);
       return EvalResult::Of(SqlValue::Int(end == begin ? 0 : prefix));
     }
     case Affinity::kReal: {
-      if (v.cls == StorageClass::kReal) return EvalResult::Of(v);
-      if (v.cls == StorageClass::kInteger) {
-        return EvalResult::Of(SqlValue::Real(static_cast<double>(v.i)));
+      if (v.cls() == StorageClass::kReal) return EvalResult::Of(v);
+      if (v.cls() == StorageClass::kInteger) {
+        return EvalResult::Of(SqlValue::Real(static_cast<double>(v.i())));
       }
       if (strict) {
         return EvalResult::Error("invalid input syntax for type double "
                                  "precision");
       }
-      return EvalResult::Of(SqlValue::Real(ParseNumericPrefix(v.t)));
+      return EvalResult::Of(SqlValue::Real(ParseNumericPrefix(v.text_cstr())));
     }
     case Affinity::kText:
       return EvalResult::Of(SqlValue::Text(v.ToDisplay()));
@@ -567,15 +557,16 @@ bool LikeMatch(const std::string& text, const std::string& pattern,
 
 Bool3 Truthiness(const SqlValue& v, Dialect dialect) {
   (void)dialect;  // all three dialects agree on WHERE truthiness here
-  switch (v.cls) {
+  switch (v.cls()) {
     case StorageClass::kNull:
       return Bool3::kNull;
     case StorageClass::kInteger:
-      return v.i != 0 ? Bool3::kTrue : Bool3::kFalse;
+      return v.i() != 0 ? Bool3::kTrue : Bool3::kFalse;
     case StorageClass::kReal:
-      return v.r != 0.0 ? Bool3::kTrue : Bool3::kFalse;
+      return v.r() != 0.0 ? Bool3::kTrue : Bool3::kFalse;
     case StorageClass::kText:
-      return ParseNumericPrefix(v.t) != 0.0 ? Bool3::kTrue : Bool3::kFalse;
+      return ParseNumericPrefix(v.text_cstr()) != 0.0 ? Bool3::kTrue
+                                                      : Bool3::kFalse;
   }
   return Bool3::kNull;
 }
@@ -610,16 +601,16 @@ EvalResult Evaluate(const Expr& expr, const RowView& row,
       // Unary minus.
       const SqlValue& v = operand.value;
       if (v.is_null()) return EvalResult::Of(SqlValue::Null());
-      if (v.cls == StorageClass::kInteger) {
-        return EvalResult::Of(SqlValue::Int(-v.i));
+      if (v.cls() == StorageClass::kInteger) {
+        return EvalResult::Of(SqlValue::Int(-v.i()));
       }
-      if (v.cls == StorageClass::kReal) {
-        return EvalResult::Of(SqlValue::Real(-v.r));
+      if (v.cls() == StorageClass::kReal) {
+        return EvalResult::Of(SqlValue::Real(-v.r()));
       }
       if (ctx.dialect == Dialect::kPostgresStrict) {
         return EvalResult::Error("operator does not exist: -text");
       }
-      return EvalResult::Of(SqlValue::Real(-ParseNumericPrefix(v.t)));
+      return EvalResult::Of(SqlValue::Real(-ParseNumericPrefix(v.text_cstr())));
     }
 
     case ExprKind::kBinary: {
@@ -751,8 +742,8 @@ EvalResult Evaluate(const Expr& expr, const RowView& row,
         return EvalResult::Of(SqlValue::Null());
       }
       if (ctx.dialect == Dialect::kPostgresStrict &&
-          (v.value.cls != StorageClass::kText ||
-           p.value.cls != StorageClass::kText)) {
+          (v.value.cls() != StorageClass::kText ||
+           p.value.cls() != StorageClass::kText)) {
         return EvalResult::Error("operator does not exist: LIKE on non-text");
       }
       std::string text = ConcatOperand(v.value);
@@ -765,14 +756,15 @@ EvalResult Evaluate(const Expr& expr, const RowView& row,
       if (expr.args.size() > 2 && expr.args[2] != nullptr) {
         EvalResult esc = Evaluate(*expr.args[2], row, ctx);
         if (esc.error) return esc;
-        if (esc.value.cls != StorageClass::kText || esc.value.t.size() != 1) {
+        if (esc.value.cls() != StorageClass::kText ||
+            esc.value.text().size() != 1) {
           return EvalResult::Error("ESCAPE expression must be a single "
                                    "character");
         }
         // Injected: the ESCAPE clause parses but the matcher never learns
         // about it — escaped wildcards stay wildcards.
         if (!ctx.BugEnabled(BugId::kLikeEscapeMiss)) {
-          escape = static_cast<unsigned char>(esc.value.t[0]);
+          escape = static_cast<unsigned char>(esc.value.text()[0]);
         }
       }
       bool fold = ctx.dialect != Dialect::kPostgresStrict;
@@ -918,7 +910,7 @@ bool DistinctCellsEqual(const SqlValue& a, const SqlValue& b,
                         const EvalContext& ctx) {
   if (ctx.BugEnabled(BugId::kDistinctTruncMerge) && a.is_numeric() &&
       b.is_numeric() &&
-      (a.cls == StorageClass::kReal || b.cls == StorageClass::kReal)) {
+      (a.cls() == StorageClass::kReal || b.cls() == StorageClass::kReal)) {
     return std::trunc(a.AsReal()) == std::trunc(b.AsReal());
   }
   return ValueEquals(a, b);
@@ -1088,7 +1080,7 @@ bool AggAccumulator::Add(const SqlValue& v, std::string* error) {
       break;
     case AggFunc::kSum:
     case AggFunc::kAvg:
-      if (v.cls == StorageClass::kText) {
+      if (v.cls() == StorageClass::kText) {
         if (ctx_.dialect == Dialect::kPostgresStrict) {
           if (error != nullptr) {
             *error = std::string("function ") + AggFuncName(func_) +
@@ -1099,15 +1091,15 @@ bool AggAccumulator::Add(const SqlValue& v, std::string* error) {
         // Flexible dialects coerce by numeric prefix, as sqlite's sumStep
         // does, and the result becomes approximate (REAL).
         approx_ = true;
-        real_sum_ += ParseNumericPrefix(v.t);
-      } else if (v.cls == StorageClass::kInteger && !approx_) {
+        real_sum_ += ParseNumericPrefix(v.text_cstr());
+      } else if (v.cls() == StorageClass::kInteger && !approx_) {
         // Wrap-safe addition; the real accumulator shadows the integer one
         // so a later REAL operand can take over seamlessly.
         int_sum_ = static_cast<int64_t>(static_cast<uint64_t>(int_sum_) +
-                                        static_cast<uint64_t>(v.i));
-        real_sum_ += static_cast<double>(v.i);
+                                        static_cast<uint64_t>(v.i()));
+        real_sum_ += static_cast<double>(v.i());
       } else {
-        approx_ = approx_ || v.cls == StorageClass::kReal;
+        approx_ = approx_ || v.cls() == StorageClass::kReal;
         real_sum_ += v.AsReal();
       }
       break;

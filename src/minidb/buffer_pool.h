@@ -42,8 +42,10 @@ struct DiskPage {
 // Knobs for the paged storage layer. The defaults keep generator-scale
 // tables (3-12 rows) fully resident so the clean hot path pays only the
 // frame lookup; Stress() shrinks both axes to force splits and eviction on
-// every statement, and Flat() bypasses paging entirely (used by the ground
-// truth model and by the paging-on/off determinism tests).
+// every statement, and Flat() bypasses paging entirely (used by the
+// paging-on/off determinism tests and the flat leg of the write-path
+// differential test; the runner's ground-truth model is paged like the
+// engine under test).
 struct StorageOptions {
   bool paged = true;
   uint32_t page_rows = 64;    // rows per page (>= 1)

@@ -95,7 +95,7 @@ bool HasCrossTypeCompare(
       for (const auto& [name, affinity] : column_affinity) {
         if (name != col.column) continue;
         bool text_col = affinity == Affinity::kText;
-        bool text_lit = lit.literal.cls == StorageClass::kText;
+        bool text_lit = lit.literal.cls() == StorageClass::kText;
         if (!lit.literal.is_null() && text_col != text_lit) return true;
       }
     }
@@ -109,8 +109,8 @@ bool HasCrossTypeCompare(
 bool ContainsLongWildcardLike(const Expr& expr) {
   if (expr.kind == ExprKind::kLike && expr.args.size() == 2 &&
       expr.args[1] != nullptr && expr.args[1]->kind == ExprKind::kLiteral &&
-      expr.args[1]->literal.cls == StorageClass::kText) {
-    const std::string& p = expr.args[1]->literal.t;
+      expr.args[1]->literal.cls() == StorageClass::kText) {
+    std::string_view p = expr.args[1]->literal.text();
     if (p.size() >= 4 && p.front() == '%' && p.back() == '%') return true;
   }
   for (const ExprPtr& a : expr.args) {
@@ -446,17 +446,17 @@ bool Database::CoerceForInsert(const ColumnDef& col, SqlValue* value,
   bool strict = dialect_ == Dialect::kPostgresStrict;
   switch (col.affinity) {
     case Affinity::kInteger:
-      if (value->cls == StorageClass::kInteger) return true;
-      if (value->cls == StorageClass::kReal) {
+      if (value->cls() == StorageClass::kInteger) return true;
+      if (value->cls() == StorageClass::kReal) {
         if (strict) {
-          double t = value->r;
+          double t = value->r();
           if (t != static_cast<double>(static_cast<int64_t>(t))) {
             *failure = StatementResult::Failure(
                 StatementStatus::kError, "invalid input for integer column");
             return false;
           }
         }
-        *value = SqlValue::Int(static_cast<int64_t>(value->r));
+        *value = SqlValue::Int(static_cast<int64_t>(value->r()));
         Mark(Feature::kInsertAffinityCoercion);
         return true;
       }
@@ -468,24 +468,24 @@ bool Database::CoerceForInsert(const ColumnDef& col, SqlValue* value,
       }
       {
         SqlValue parsed;
-        if (ParseFullNumeric(value->t, &parsed)) {
-          if (parsed.cls == StorageClass::kReal) {
-            parsed = SqlValue::Int(static_cast<int64_t>(parsed.r));
+        if (ParseFullNumeric(value->text_cstr(), &parsed)) {
+          if (parsed.cls() == StorageClass::kReal) {
+            parsed = SqlValue::Int(static_cast<int64_t>(parsed.r()));
           }
           *value = parsed;
           Mark(Feature::kInsertAffinityCoercion);
         } else if (dialect_ == Dialect::kMysqlLike) {
           *value = SqlValue::Int(
-              static_cast<int64_t>(ParseNumericPrefix(value->t)));
+              static_cast<int64_t>(ParseNumericPrefix(value->text_cstr())));
           Mark(Feature::kInsertAffinityCoercion);
         }
         // kSqliteFlex keeps unparseable text as-is (flexible typing).
       }
       return true;
     case Affinity::kReal:
-      if (value->cls == StorageClass::kReal) return true;
-      if (value->cls == StorageClass::kInteger) {
-        *value = SqlValue::Real(static_cast<double>(value->i));
+      if (value->cls() == StorageClass::kReal) return true;
+      if (value->cls() == StorageClass::kInteger) {
+        *value = SqlValue::Real(static_cast<double>(value->i()));
         Mark(Feature::kInsertAffinityCoercion);
         return true;
       }
@@ -496,17 +496,17 @@ bool Database::CoerceForInsert(const ColumnDef& col, SqlValue* value,
       }
       {
         SqlValue parsed;
-        if (ParseFullNumeric(value->t, &parsed)) {
+        if (ParseFullNumeric(value->text_cstr(), &parsed)) {
           *value = SqlValue::Real(parsed.AsReal());
           Mark(Feature::kInsertAffinityCoercion);
         } else if (dialect_ == Dialect::kMysqlLike) {
-          *value = SqlValue::Real(ParseNumericPrefix(value->t));
+          *value = SqlValue::Real(ParseNumericPrefix(value->text_cstr()));
           Mark(Feature::kInsertAffinityCoercion);
         }
       }
       return true;
     case Affinity::kText:
-      if (value->cls == StorageClass::kText) return true;
+      if (value->cls() == StorageClass::kText) return true;
       if (strict) {
         *failure = StatementResult::Failure(
             StatementStatus::kError, "invalid input for text column");

@@ -152,13 +152,13 @@ Generator::Generator(const GeneratorOptions& options, Dialect dialect)
       dialect_(dialect),
       strict_(dialect == Dialect::kPostgresStrict) {}
 
-std::string Generator::RandomText(Rng* rng) const {
+std::string_view Generator::RandomText(Rng* rng) const {
   // Includes strings carrying literal SQL wildcards ('a%b', '_x', ...) so
   // LIKE ... ESCAPE patterns have something to distinguish: an escaped
   // wildcard matches these, an unescaped one matches almost anything.
-  return rng->Pick<std::string>({"", "a", "A", "B", "ab", "aB", "Ab", "ba",
-                                 "12", "12ab", "-3", "xyz", "x", "aa", "a%b",
-                                 "a_", "100%", "_x", "%"});
+  return rng->Pick<std::string_view>({"", "a", "A", "B", "ab", "aB", "Ab",
+                                      "ba", "12", "12ab", "-3", "xyz", "x",
+                                      "aa", "a%b", "a_", "100%", "_x", "%"});
 }
 
 SqlValue Generator::RandomLiteralNear(Affinity affinity, Rng* rng) const {
@@ -305,7 +305,7 @@ std::vector<ExprPtr> Generator::GenerateRowValues(const TableSchema& table,
     SqlValue v = RandomValueFor(col.affinity, rng);
     if ((col.unique || col.primary_key) &&
         col.affinity == Affinity::kInteger &&
-        v.cls == StorageClass::kInteger) {
+        v.cls() == StorageClass::kInteger) {
       // Wider range keeps most unique inserts from colliding.
       v = SqlValue::Int(rng->IntIn(-99, 99));
     }
@@ -396,7 +396,7 @@ std::unique_ptr<UpdateStmt> Generator::GenerateUpdate(
     } else if (literal_only(col)) {
       SqlValue v = RandomValueFor(col.affinity, rng);
       if (col.affinity == Affinity::kInteger &&
-          v.cls == StorageClass::kInteger) {
+          v.cls() == StorageClass::kInteger) {
         v = SqlValue::Int(rng->IntIn(-99, 99));
       }
       assign.value = MakeLiteral(std::move(v));
@@ -733,23 +733,23 @@ ExprPtr Generator::GenLeaf(const std::vector<const TableSchema*>& tables,
       if (dialect_ == Dialect::kMysqlLike && rng->Chance(0.3)) {
         // MySQL-like numeric coercion of text.
         lit = IsNumericAffinity(col->affinity)
-                  ? SqlValue::Text(rng->Pick<std::string>(
+                  ? SqlValue::Text(rng->Pick<std::string_view>(
                         {"12ab", "-3", "2", "0x", "abc"}))
                   : SqlValue::Int(rng->IntIn(-5, 5));
       } else if (dialect_ == Dialect::kSqliteFlex && rng->Chance(0.12) &&
                  IsNumericAffinity(col->affinity)) {
         // Cross-storage-class comparison; non-numeric text only, so the
         // model agrees with real SQLite's affinity rules.
-        lit = SqlValue::Text(rng->Pick<std::string>({"abc", "x", "zz"}));
+        lit = SqlValue::Text(rng->Pick<std::string_view>({"abc", "x", "zz"}));
       }
     }
-    if (col->affinity == Affinity::kText && lit.cls == StorageClass::kText) {
+    if (col->affinity == Affinity::kText && lit.cls() == StorageClass::kText) {
       bool collated = false;
       col_ref = MaybeCollate(std::move(col_ref), rng, &collated);
       // Collation only matters for case-variant text, so collated
       // comparisons draw their literal from the case-rich subset.
       if (collated) {
-        lit = SqlValue::Text(rng->Pick<std::string>(
+        lit = SqlValue::Text(rng->Pick<std::string_view>(
             {"A", "B", "a", "ab", "aB", "Ab", "ba", "aa"}));
       }
     }
@@ -869,12 +869,12 @@ ExprPtr Generator::GenLeaf(const std::vector<const TableSchema*>& tables,
       // Escaped-wildcard patterns ('!' is the ESCAPE character): they only
       // match values carrying a literal % or _, which the text pool
       // deliberately contains.
-      std::string pattern = rng->Pick<std::string>(
+      std::string_view pattern = rng->Pick<std::string_view>(
           {"%!%%", "a!%%", "!_%", "%a!%%", "%!__"});
       return MakeLikeEscape(std::move(col_ref), MakeTextLiteral(pattern),
                             MakeTextLiteral("!"), rng->Chance(0.3));
     }
-    std::string pattern = rng->Pick<std::string>(
+    std::string_view pattern = rng->Pick<std::string_view>(
         {"%a%", "a%", "%b", "_", "%12%", "%ab%", "ab%", "%xy%", "%"});
     if (dialect_ == Dialect::kSqliteFlex && rng->Chance(0.1)) {
       // Concat feeding LIKE: exercises || (and the sqlite concat bug).

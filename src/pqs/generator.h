@@ -9,6 +9,7 @@
 #define PQS_SRC_PQS_GENERATOR_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <memory>
@@ -258,7 +259,7 @@ class Generator {
                               const TableSchema** table, Rng* rng) const;
   SqlValue RandomValueFor(Affinity affinity, Rng* rng) const;
   SqlValue RandomLiteralNear(Affinity affinity, Rng* rng) const;
-  std::string RandomText(Rng* rng) const;
+  std::string_view RandomText(Rng* rng) const;
 
   GeneratorOptions options_;
   Dialect dialect_;

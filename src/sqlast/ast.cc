@@ -98,18 +98,18 @@ bool Expr::StructurallyEquals(const Expr& other) const {
   }
   switch (kind) {
     case ExprKind::kLiteral:
-      if (literal.cls != other.literal.cls) return false;
-      switch (literal.cls) {
+      if (literal.cls() != other.literal.cls()) return false;
+      switch (literal.cls()) {
         case StorageClass::kNull:
           break;
         case StorageClass::kInteger:
-          if (literal.i != other.literal.i) return false;
+          if (literal.i() != other.literal.i()) return false;
           break;
         case StorageClass::kReal:
-          if (literal.r != other.literal.r) return false;
+          if (literal.r() != other.literal.r()) return false;
           break;
         case StorageClass::kText:
-          if (literal.t != other.literal.t) return false;
+          if (literal.text() != other.literal.text()) return false;
           break;
       }
       break;
@@ -173,8 +173,8 @@ ExprPtr MakeLiteral(SqlValue v) {
 
 ExprPtr MakeIntLiteral(int64_t v) { return MakeLiteral(SqlValue::Int(v)); }
 ExprPtr MakeRealLiteral(double v) { return MakeLiteral(SqlValue::Real(v)); }
-ExprPtr MakeTextLiteral(std::string v) {
-  return MakeLiteral(SqlValue::Text(std::move(v)));
+ExprPtr MakeTextLiteral(std::string_view v) {
+  return MakeLiteral(SqlValue::Text(v));
 }
 ExprPtr MakeNullLiteral() { return MakeLiteral(SqlValue::Null()); }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -162,7 +163,7 @@ struct Expr {
 
 ExprPtr MakeIntLiteral(int64_t v);
 ExprPtr MakeRealLiteral(double v);
-ExprPtr MakeTextLiteral(std::string v);
+ExprPtr MakeTextLiteral(std::string_view v);
 ExprPtr MakeNullLiteral();
 ExprPtr MakeLiteral(SqlValue v);
 ExprPtr MakeColumnRef(std::string table, std::string column);

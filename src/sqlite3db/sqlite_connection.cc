@@ -189,20 +189,22 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
   for (size_t i = 0; i < param_buf_.size(); ++i) {
     const SqlValue& v = *param_buf_[i];
     int slot = static_cast<int>(i) + 1;
-    switch (v.cls) {
+    switch (v.cls()) {
       case StorageClass::kNull:
         sqlite3_bind_null(prepared, slot);
         break;
       case StorageClass::kInteger:
-        sqlite3_bind_int64(prepared, slot, v.i);
+        sqlite3_bind_int64(prepared, slot, v.i());
         break;
       case StorageClass::kReal:
-        sqlite3_bind_double(prepared, slot, v.r);
+        sqlite3_bind_double(prepared, slot, v.r());
         break;
-      case StorageClass::kText:
-        sqlite3_bind_text(prepared, slot, v.t.c_str(),
-                          static_cast<int>(v.t.size()), SQLITE_TRANSIENT);
+      case StorageClass::kText: {
+        std::string_view text = v.text();
+        sqlite3_bind_text(prepared, slot, text.data(),
+                          static_cast<int>(text.size()), SQLITE_TRANSIENT);
         break;
+      }
     }
   }
   // A cached statement is reset (kept prepared) instead of finalized;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace pqs {
 
@@ -25,14 +26,24 @@ std::string FormatReal(double v) {
 
 }  // namespace
 
+void SqlValue::SetHeapText(std::string_view v) {
+  size_t n = v.size();
+  char* buffer = new char[sizeof(n) + n + 1];
+  std::memcpy(buffer, &n, sizeof(n));
+  std::memcpy(buffer + sizeof(n), v.data(), n);
+  buffer[sizeof(n) + n] = '\0';
+  std::memcpy(bytes_, &buffer, sizeof(buffer));
+  len_ = kHeapText;
+}
+
 std::string SqlValue::ToSqlLiteral() const {
-  switch (cls) {
+  switch (cls_) {
     case StorageClass::kNull:
       return "NULL";
     case StorageClass::kInteger:
-      return std::to_string(i);
+      return std::to_string(i());
     case StorageClass::kReal: {
-      std::string s = FormatReal(r);
+      std::string s = FormatReal(r());
       // Ensure the literal stays a REAL when re-parsed ("1" → "1.0").
       if (s.find('.') == std::string::npos &&
           s.find('e') == std::string::npos &&
@@ -44,7 +55,7 @@ std::string SqlValue::ToSqlLiteral() const {
     }
     case StorageClass::kText: {
       std::string out = "'";
-      for (char c : t) {
+      for (char c : text()) {
         out += c;
         if (c == '\'') out += '\'';
       }
@@ -56,15 +67,15 @@ std::string SqlValue::ToSqlLiteral() const {
 }
 
 std::string SqlValue::ToDisplay() const {
-  switch (cls) {
+  switch (cls_) {
     case StorageClass::kNull:
       return "NULL";
     case StorageClass::kInteger:
-      return std::to_string(i);
+      return std::to_string(i());
     case StorageClass::kReal: {
       // Match SQLite's REAL→TEXT conversion: always keep a decimal point
       // ('2.0', not '2') so concatenation agrees with the real engine.
-      std::string s = FormatReal(r);
+      std::string s = FormatReal(r());
       if (s.find('.') == std::string::npos &&
           s.find('e') == std::string::npos &&
           s.find("inf") == std::string::npos &&
@@ -74,7 +85,7 @@ std::string SqlValue::ToDisplay() const {
       return s;
     }
     case StorageClass::kText:
-      return t;
+      return std::string(text());
   }
   return "NULL";
 }
@@ -82,8 +93,8 @@ std::string SqlValue::ToDisplay() const {
 bool ValueEquals(const SqlValue& a, const SqlValue& b) {
   if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
   if (a.is_numeric() && b.is_numeric()) return a.AsReal() == b.AsReal();
-  if (a.cls != b.cls) return false;
-  return a.t == b.t;
+  if (a.cls() != b.cls()) return false;
+  return a.text() == b.text();
 }
 
 int ValueCompare(const SqlValue& a, const SqlValue& b) {
@@ -103,13 +114,13 @@ int ValueCompare(const SqlValue& a, const SqlValue& b) {
     if (da > db) return 1;
     return 0;
   }
-  int c = a.t.compare(b.t);
+  int c = a.text().compare(b.text());
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
-bool ParseFullNumeric(const std::string& s, SqlValue* out) {
-  if (s.empty()) return false;
-  const char* begin = s.c_str();
+bool ParseFullNumeric(const char* s, SqlValue* out) {
+  if (*s == '\0') return false;
+  const char* begin = s;
   char* end = nullptr;
   long long as_int = strtoll(begin, &end, 10);
   if (end != begin && *end == '\0') {
@@ -125,8 +136,8 @@ bool ParseFullNumeric(const std::string& s, SqlValue* out) {
   return false;
 }
 
-double ParseNumericPrefix(const std::string& s) {
-  const char* begin = s.c_str();
+double ParseNumericPrefix(const char* s) {
+  const char* begin = s;
   char* end = nullptr;
   double v = strtod(begin, &end);
   if (end == begin) return 0.0;

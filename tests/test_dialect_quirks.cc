@@ -55,14 +55,14 @@ void TestSqliteFlexAffinity() {
                       MakeIntLiteral(42)));
   CHECK(r.ok());
   CHECK_EQ(r.rows.size(), static_cast<size_t>(1));
-  CHECK(r.rows[0][0].cls == StorageClass::kInteger);
+  CHECK(r.rows[0][0].cls() == StorageClass::kInteger);
   // Unparseable text keeps its TEXT storage class (flexible typing).
   CHECK(InsertRow(&db, MakeTextLiteral("abc"), MakeTextLiteral("y")).ok());
   r = Select(&db, MakeBinary(BinaryOp::kEq, MakeColumnRef("t0", "c1"),
                              MakeTextLiteral("y")));
   CHECK(r.ok());
   CHECK_EQ(r.rows.size(), static_cast<size_t>(1));
-  CHECK(r.rows[0][0].cls == StorageClass::kText);
+  CHECK(r.rows[0][0].cls() == StorageClass::kText);
 }
 
 void TestMysqlLikeCoercion() {

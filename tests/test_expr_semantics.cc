@@ -85,7 +85,7 @@ void TestFunctionSemantics() {
   CHECK(ValueEquals(Eval(Call(FuncId::kAbs, Args(MakeIntLiteral(-3)))),
                     SqlValue::Int(3)));
   SqlValue abs_real = Eval(Call(FuncId::kAbs, Args(MakeRealLiteral(-0.5))));
-  CHECK(abs_real.cls == StorageClass::kReal && abs_real.r == 0.5);
+  CHECK(abs_real.cls() == StorageClass::kReal && abs_real.r() == 0.5);
   CHECK(Eval(Call(FuncId::kAbs, Args(MakeNullLiteral()))).is_null());
 
   // LENGTH: byte count of text; NULL propagates.
@@ -175,7 +175,7 @@ void TestCastSemantics() {
                     SqlValue::Int(0)));
   // TEXT → REAL takes the numeric prefix.
   SqlValue r = Eval(MakeCast(MakeTextLiteral("-3"), Affinity::kReal));
-  CHECK(r.cls == StorageClass::kReal && r.r == -3.0);
+  CHECK(r.cls() == StorageClass::kReal && r.r() == -3.0);
   // Anything → TEXT renders like the engine ('2.0', not '2').
   CHECK(ValueEquals(Eval(MakeCast(MakeRealLiteral(2.0), Affinity::kText)),
                     SqlValue::Text("2.0")));

@@ -155,17 +155,17 @@ void TestInternerRoundTrip() {
 bool SameResult(const EvalResult& a, const EvalResult& b) {
   if (a.error != b.error) return false;
   if (a.error) return a.message == b.message;
-  if (a.value.cls != b.value.cls) return false;
-  switch (a.value.cls) {
+  if (a.value.cls() != b.value.cls()) return false;
+  switch (a.value.cls()) {
     case StorageClass::kNull:
       return true;
     case StorageClass::kInteger:
-      return a.value.i == b.value.i;
+      return a.value.i() == b.value.i();
     case StorageClass::kReal:
-      return a.value.r == b.value.r ||
-             (a.value.r != a.value.r && b.value.r != b.value.r);
+      return a.value.r() == b.value.r() ||
+             (a.value.r() != a.value.r() && b.value.r() != b.value.r());
     case StorageClass::kText:
-      return a.value.t == b.value.t;
+      return a.value.text() == b.value.text();
   }
   return false;
 }

@@ -644,7 +644,7 @@ void TestSqliteStatementCachePersistence() {
   UpdateStmt up = MakeUpdate("t", "a", MakeIntLiteral(2), nullptr);
   auto rows = expect_persistence(up);
   CHECK_EQ(rows.size(), static_cast<size_t>(1));
-  CHECK(rows[0][0].cls == StorageClass::kInteger && rows[0][0].i == 2);
+  CHECK(rows[0][0].cls() == StorageClass::kInteger && rows[0][0].i() == 2);
 
   MaintenanceStmt reindex;
   reindex.table_name = "t";

@@ -82,9 +82,9 @@ void TestPoolDirtyWriteBack() {
   }
   CHECK(pool.stats().evictions > 0);
   CHECK(pool.stats().dirty_writebacks > 0);
-  CHECK_EQ(disk[1].rows[0][0].i, static_cast<int64_t>(100));
+  CHECK_EQ(disk[1].rows[0][0].i(), static_cast<int64_t>(100));
   // Clean pages are never written back: page 2's disk image is untouched.
-  CHECK_EQ(disk[2].rows[0][0].i, static_cast<int64_t>(2));
+  CHECK_EQ(disk[2].rows[0][0].i(), static_cast<int64_t>(2));
 }
 
 void TestPoolEmergencyGrowth() {
@@ -208,7 +208,7 @@ void TestTableStorePagedLayout() {
   const std::vector<std::vector<SqlValue>>& rows = store->Materialized();
   CHECK_EQ(rows.size(), static_cast<size_t>(7));
   for (size_t i = 0; i < rows.size(); ++i) {
-    CHECK_EQ(rows[i][0].i, static_cast<int64_t>(i));
+    CHECK_EQ(rows[i][0].i(), static_cast<int64_t>(i));
   }
 
   // Cursor resolves every live position and bounds-guards the rest.
@@ -216,7 +216,7 @@ void TestTableStorePagedLayout() {
   for (size_t pos = 0; pos < 7; ++pos) {
     const std::vector<SqlValue>* row = cursor.TryRow(pos);
     CHECK(row != nullptr);
-    if (row != nullptr) CHECK_EQ((*row)[0].i, static_cast<int64_t>(pos));
+    if (row != nullptr) CHECK_EQ((*row)[0].i(), static_cast<int64_t>(pos));
   }
   CHECK(cursor.TryRow(7) == nullptr);     // tail slot of the last page
   CHECK(cursor.TryRow(1000) == nullptr);  // far past the extent

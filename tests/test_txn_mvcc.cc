@@ -164,7 +164,8 @@ void TestRollbackDiscards() {
   StatementResult r = db.Execute(probe);
   CHECK(r.ok());
   CHECK_EQ(r.rows.size(), size_t{1});
-  CHECK(r.rows[0][1].cls == StorageClass::kText && r.rows[0][1].t == "a");
+  CHECK(r.rows[0][1].cls() == StorageClass::kText &&
+        r.rows[0][1].text() == "a");
   CHECK_EQ(RowCount(&db, "t"), size_t{2});  // original {1,a}, {2,b}
 }
 
@@ -202,8 +203,8 @@ void TestFirstCommitterWins() {
 
   StatementResult r1 = db.Execute(SelectWhereAEq("t", 1));
   StatementResult r2 = db.Execute(SelectWhereAEq("t", 2));
-  CHECK(r1.ok() && r1.rows.size() == 1 && r1.rows[0][1].t == "x");
-  CHECK(r2.ok() && r2.rows.size() == 1 && r2.rows[0][1].t == "b");
+  CHECK(r1.ok() && r1.rows.size() == 1 && r1.rows[0][1].text() == "x");
+  CHECK(r2.ok() && r2.rows.size() == 1 && r2.rows[0][1].text() == "b");
 }
 
 // A predicate DML that matched nothing still puts its table under
@@ -231,7 +232,7 @@ void TestEmptyPredicateDmlConflicts() {
     CHECK(Commit(&db).status == StatementStatus::kTxnConflict);
 
     StatementResult r = db.Execute(SelectWhereAEq("t", -7));
-    CHECK(r.ok() && r.rows.size() == 1 && r.rows[0][1].t == "b");
+    CHECK(r.ok() && r.rows.size() == 1 && r.rows[0][1].text() == "b");
   }
 }
 
@@ -319,11 +320,11 @@ void TestLostUpdateHook() {
       // silently overwrites the first (the classic lost update).
       CHECK(second.ok());
       StatementResult r = db.Execute(SelectWhereAEq("t", 1));
-      CHECK(r.ok() && r.rows.size() == 1 && r.rows[0][1].t == "second");
+      CHECK(r.ok() && r.rows.size() == 1 && r.rows[0][1].text() == "second");
     } else {
       CHECK(second.status == StatementStatus::kTxnConflict);
       StatementResult r = db.Execute(SelectWhereAEq("t", 1));
-      CHECK(r.ok() && r.rows.size() == 1 && r.rows[0][1].t == "first");
+      CHECK(r.ok() && r.rows.size() == 1 && r.rows[0][1].text() == "first");
     }
   }
 }
@@ -426,7 +427,7 @@ void TestSnapshotUncommittedReadHook() {
     CHECK(r.ok() && r.rows.size() == 1);
     // The bug substitutes the other transaction's pending (uncommitted)
     // version into session 0's snapshot read.
-    CHECK_EQ(r.rows[0][1].t, std::string(buggy ? "pending" : "committed"));
+    CHECK_EQ(r.rows[0][1].text(), std::string(buggy ? "pending" : "committed"));
     Rollback(&db);
     Session(&db, 1);
     Rollback(&db);
@@ -455,7 +456,7 @@ bool SameRows(const std::vector<std::vector<SqlValue>>* a,
     for (size_t c = 0; c < (*a)[r].size(); ++c) {
       const SqlValue& x = (*a)[r][c];
       const SqlValue& y = (*b)[r][c];
-      if (x.cls != y.cls || x.ToDisplay() != y.ToDisplay()) return false;
+      if (x.cls() != y.cls() || x.ToDisplay() != y.ToDisplay()) return false;
     }
   }
   return true;

@@ -2,6 +2,7 @@
 // identical reports, down to the rendered SQL of every finding — and a
 // sharded N-worker run must merge to exactly the 1-worker report.
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -398,6 +399,127 @@ void AddGoldenEntry(const std::string& name, const std::string& fingerprint,
   *out += '\n';
 }
 
+// MiniDB behind a connection that answers kUnsupported from its k-th
+// Execute onwards (counted per connection, so every database of a run
+// starts afresh). `calls`, when set, receives the number of Execute calls
+// made so far.
+class UnsupportedFromConnection : public Connection {
+ public:
+  UnsupportedFromConnection(Dialect dialect, uint64_t k, uint64_t* calls)
+      : inner_(dialect), k_(k), calls_(calls) {}
+
+  StatementResult Execute(const Stmt& stmt) override {
+    ++executed_;
+    if (calls_ != nullptr) *calls_ = executed_;
+    if (executed_ >= k_) {
+      return StatementResult::Failure(StatementStatus::kUnsupported,
+                                      "unsupported from call " +
+                                          std::to_string(k_));
+    }
+    return inner_.Execute(stmt);
+  }
+  Dialect dialect() const override { return inner_.dialect(); }
+  std::string EngineName() const override { return inner_.EngineName(); }
+  bool alive() const override { return inner_.alive(); }
+
+ private:
+  minidb::Database inner_;
+  uint64_t k_;
+  uint64_t* calls_;
+  uint64_t executed_ = 0;
+};
+
+RunnerOptions EarlyExitOptions(OracleFamily family, int txn_sessions,
+                               int databases, int workers) {
+  RunnerOptions options;
+  options.seed = 31337;
+  options.databases = databases;
+  options.queries_per_database = 4;
+  options.workers = workers;
+  options.family = family;
+  options.gen.txn_sessions = txn_sessions;
+  return options;
+}
+
+// Locks every early exit of the session loop: for each oracle family and
+// the K-session transaction mix, the engine turns unsupported at every
+// statement of the first database in turn. The run must end there with
+// `unsupported_engine` set, and the 4-worker report must equal the
+// 1-worker one. A factory that fails on its third call ends the run with
+// exactly the first two databases. Appends the compact per-k tallies
+// (`statements_executed|queries_checked|findings;` per k) and the
+// null-factory fingerprint to the golden text.
+void AddEarlyExitEntries(std::string* out) {
+  struct Family {
+    const char* name;
+    OracleFamily family;
+    int txn_sessions;
+  };
+  const Family families[] = {
+      {"containment", OracleFamily::kContainment, 1},
+      {"norec", OracleFamily::kNorec, 1},
+      {"tlp", OracleFamily::kTlp, 1},
+      {"txn3", OracleFamily::kContainment, 3},
+  };
+  for (const Family& f : families) {
+    uint64_t first_db_calls = 0;
+    PqsRunner uninterrupted(
+        [&first_db_calls]() -> ConnectionPtr {
+          return std::make_unique<UnsupportedFromConnection>(
+              Dialect::kSqliteFlex, UINT64_MAX, &first_db_calls);
+        },
+        EarlyExitOptions(f.family, f.txn_sessions, 1, 1));
+    RunReport baseline = uninterrupted.Run();
+    CHECK(!baseline.unsupported_engine);
+    CHECK_EQ(first_db_calls, baseline.stats.statements_executed);
+    CHECK(first_db_calls > 0);
+
+    std::string line;
+    for (uint64_t k = 1; k <= first_db_calls; ++k) {
+      auto run = [&](int workers) {
+        PqsRunner runner(
+            [k]() -> ConnectionPtr {
+              return std::make_unique<UnsupportedFromConnection>(
+                  Dialect::kSqliteFlex, k, nullptr);
+            },
+            EarlyExitOptions(f.family, f.txn_sessions, 3, workers));
+        return runner.Run();
+      };
+      RunReport sequential = run(1);
+      RunReport sharded = run(4);
+      CHECK_MSG(sequential.unsupported_engine, "%s k=%llu", f.name,
+                static_cast<unsigned long long>(k));
+      CHECK_EQ(sequential.stats.databases_created, uint64_t{1});
+      CHECK_EQ(Fingerprint(sharded), Fingerprint(sequential));
+      CHECK(sharded.unsupported_engine);
+      line += std::to_string(sequential.stats.statements_executed) + "|" +
+              std::to_string(sequential.stats.queries_checked) + "|" +
+              std::to_string(sequential.findings.size()) + ";";
+    }
+    AddGoldenEntry(std::string("unsupported/") + f.name, line, out);
+  }
+
+  int factory_calls = 0;
+  PqsRunner null_third(
+      [&factory_calls]() -> ConnectionPtr {
+        if (++factory_calls == 3) return nullptr;
+        return std::make_unique<minidb::Database>(Dialect::kSqliteFlex);
+      },
+      EarlyExitOptions(OracleFamily::kContainment, 1, 5, 1));
+  RunReport truncated = null_third.Run();
+  CHECK_EQ(factory_calls, 3);
+  CHECK_EQ(truncated.stats.databases_created, uint64_t{2});
+  CHECK(!truncated.unsupported_engine);
+  // The two databases it holds equal a run planned with two databases.
+  PqsRunner two_databases(
+      []() -> ConnectionPtr {
+        return std::make_unique<minidb::Database>(Dialect::kSqliteFlex);
+      },
+      EarlyExitOptions(OracleFamily::kContainment, 1, 2, 1));
+  CHECK_EQ(Fingerprint(truncated), Fingerprint(two_databases.Run()));
+  AddGoldenEntry("nullfactory", Fingerprint(truncated), out);
+}
+
 RunReport GoldenRun(Dialect dialect, OracleFamily family, BugConfig bugs,
                     minidb::StorageOptions storage, int txn_sessions,
                     int databases = 24) {
@@ -416,10 +538,11 @@ RunReport GoldenRun(Dialect dialect, OracleFamily family, BugConfig bugs,
 
 // Fixed-seed reports locked in tests/golden/report_fingerprints.golden:
 // clean runs per dialect and oracle family, K-session transaction runs, a
-// stress-storage run, a run with each DML bug hook armed, and a per-dialect
-// campaign summary. A change that is meant to keep reports byte-identical
-// must leave the file untouched (regenerate with PQS_UPDATE_GOLDEN=1 only
-// for an intended semantic change, and explain each changed entry).
+// stress-storage run, a run with each DML bug hook armed, a per-dialect
+// campaign summary, and the early-exit sweep (AddEarlyExitEntries). A
+// change that is meant to keep reports byte-identical must leave the file
+// untouched (regenerate with PQS_UPDATE_GOLDEN=1 only for an intended
+// semantic change, and explain each changed entry).
 void TestReportFingerprintsGolden() {
   const Dialect dialects[] = {Dialect::kSqliteFlex, Dialect::kMysqlLike,
                               Dialect::kPostgresStrict};
@@ -475,6 +598,7 @@ void TestReportFingerprintsGolden() {
                      summary, &out);
     }
   }
+  AddEarlyExitEntries(&out);
   test::CheckGolden(std::string(PQS_SOURCE_DIR) +
                         "/tests/golden/report_fingerprints.golden",
                     out);

@@ -24,34 +24,7 @@ static_assert(RunStats::kDepthBuckets == kExprDepthBuckets,
 
 namespace {
 
-// Clones the first `count` statements of `plan` (the setup prefix executed
-// so far), optionally appending `last`. Only called when a finding is
-// recorded, so the common path never copies ASTs.
-std::vector<StmtPtr> CloneLog(const DatabasePlan& plan, size_t count,
-                              const Stmt* last) {
-  std::vector<StmtPtr> out;
-  out.reserve(count + 1);
-  for (size_t i = 0; i < count && i < plan.statements.size(); ++i) {
-    out.push_back(plan.statements[i]->Clone());
-  }
-  if (last != nullptr) out.push_back(last->Clone());
-  return out;
-}
-
-// Clones the whole replayable session: the setup plan, every mutation
-// executed so far, and optionally the triggering statement. Mutation
-// statements never read their own results, so this flat order reproduces
-// the exact state the finding was observed in.
-std::vector<StmtPtr> CloneSession(const DatabasePlan& plan,
-                                  const std::vector<StmtPtr>& mutations,
-                                  const Stmt* last) {
-  std::vector<StmtPtr> out;
-  out.reserve(plan.statements.size() + mutations.size() + 1);
-  for (const StmtPtr& s : plan.statements) out.push_back(s->Clone());
-  for (const StmtPtr& m : mutations) out.push_back(m->Clone());
-  if (last != nullptr) out.push_back(last->Clone());
-  return out;
-}
+using Rows = std::vector<std::vector<SqlValue>>;
 
 // Statement-stream distribution tallies for the mutation actions, mirrored
 // into the telemetry registry (the obs counters are the migration target
@@ -90,10 +63,8 @@ void TallyAction(const Stmt& stmt, RunStats* stats) {
 // True when every row of `subset` occurs in `superset` as a multiset
 // (each superset row consumed at most once). On failure *missing (when
 // non-null) receives the first unmatched subset row.
-bool RowsMultisetContained(
-    const std::vector<std::vector<SqlValue>>& subset,
-    const std::vector<std::vector<SqlValue>>& superset,
-    std::vector<SqlValue>* missing) {
+bool RowsMultisetContained(const Rows& subset, const Rows& superset,
+                           std::vector<SqlValue>* missing) {
   std::vector<bool> used(superset.size(), false);
   for (const auto& row : subset) {
     bool found = false;
@@ -129,11 +100,12 @@ bool RowsMultisetContained(
 // to queries where containment stays decidable. The base-table rows were
 // already fetched for pivot selection, so this reuses them with the same
 // shared relational core the engine runs.
-bool PivotWorstCaseRank(
-    const SelectStmt& query, const std::vector<const TableSchema*>& from,
-    const std::vector<std::vector<std::vector<SqlValue>>>& table_rows,
-    const RowSchema& joined_schema, const std::vector<SqlValue>& pivot,
-    const EvalContext& ctx, int64_t* rank) {
+bool PivotWorstCaseRank(const SelectStmt& query,
+                        const std::vector<const TableSchema*>& from,
+                        const std::vector<Rows>& table_rows,
+                        const RowSchema& joined_schema,
+                        const std::vector<SqlValue>& pivot,
+                        const EvalContext& ctx, int64_t* rank) {
   std::vector<JoinInput> inputs;
   inputs.reserve(from.size());
   for (size_t t = 0; t < from.size(); ++t) {
@@ -144,7 +116,7 @@ bool PivotWorstCaseRank(
     input.rows = &table_rows[t];
     inputs.push_back(std::move(input));
   }
-  std::vector<std::vector<SqlValue>> joined;
+  Rows joined;
   std::string error;
   if (!JoinRows(inputs, query.joins, ctx, &joined, &error, nullptr)) {
     return false;
@@ -154,7 +126,7 @@ bool PivotWorstCaseRank(
   if (query.where != nullptr) {
     where_code = CompileExpr(*query.where, joined_schema, ctx.dialect);
   }
-  std::vector<std::vector<SqlValue>> result;
+  Rows result;
   for (std::vector<SqlValue>& row : joined) {
     if (query.where != nullptr) {
       RowView view{&joined_schema, &row};
@@ -166,7 +138,7 @@ bool PivotWorstCaseRank(
   }
   if (query.distinct) {
     std::vector<size_t> keep = DistinctKeepIndexes(result, ctx);
-    std::vector<std::vector<SqlValue>> deduped;
+    Rows deduped;
     deduped.reserve(keep.size());
     for (size_t idx : keep) deduped.push_back(std::move(result[idx]));
     result = std::move(deduped);
@@ -222,450 +194,158 @@ struct DbRunResult {
   bool factory_failed = false;  // factory returned null; run ends before it
 };
 
-// One database of the interleaved-transaction branch (DESIGN §14): K
-// logical sessions drive BEGIN/COMMIT/ROLLBACK streams against the engine
-// under test while two clean MiniDB instances hold the ground truth. The
-// *mirror* executes the identical interleaved stream (SetSession included)
-// and answers "what should this session see right now" — the
-// snapshot-isolation oracle. The *replay* model never sees a BEGIN: it
-// receives each committed transaction's successful DML serially, in commit
-// order, and answers "what must the committed state be" — the serial-replay
-// oracle. Under SI with first-committer-wins at table granularity, applying
-// committed transactions' writes in commit order reproduces the committed
-// state exactly (no committer's written tables changed between its snapshot
-// and its commit), which is what makes the serial comparison sound.
-DbRunResult RunTxnDatabase(const WorkerEngineFactory& factory, int worker,
-                           const RunnerOptions& options, uint64_t db_seed) {
-  DbRunResult out;
-  Rng rng(db_seed);
-  ConnectionPtr conn = factory(worker);
-  if (conn == nullptr) {
-    out.factory_failed = true;
-    return out;
+// What an engine table is compared against (CompareTable).
+enum class Reference {
+  kModel,         // the model's replay of setup and stream (DESIGN §9)
+  kSerialReplay,  // committed transactions replayed serially (DESIGN §14)
+  kSnapshot,      // the mirror's view inside the current session
+};
+
+// One database of the shard plan: the paper's Algorithm 1 loop. The
+// session builds a database from its private RNG stream, runs the setup
+// on the engine under test and on a clean MiniDB model, and then takes
+// `queries_per_database` query steps. Each step is Mutate (the scheduler's
+// statement stream) followed by one check unit: containment, NoREC/TLP, or
+// the transaction checks when `gen.txn_sessions > 1`. Whichever unit
+// issues it, every engine statement goes through Exec and Judge, every
+// finding through Fail, and every engine-vs-reference table comparison
+// through CompareTable. A finding or an unsupported engine ends the
+// session: every step returns false then.
+//
+// Ground truth: `model_` — the reference implementation of the shared
+// interp core — executes every setup and stream statement alongside the
+// engine, so a statement the engine applied wrongly (lost row, ghost row,
+// wrong value) is caught by the table compares even though a rectified
+// query can only prove *pivot* containment. In K-session runs the model is
+// the *mirror*: it executes the identical interleaved stream (SetSession
+// included) and answers "what should this session see right now" — the
+// snapshot-isolation oracle. Those runs add `replay_`, which never sees a
+// BEGIN: it receives each committed transaction's successful DML serially,
+// in commit order, and answers "what must the committed state be" — the
+// serial-replay oracle. Under SI with first-committer-wins at table
+// granularity, applying committed transactions' writes in commit order
+// reproduces the committed state exactly (no committer's written tables
+// changed between its snapshot and its commit), which is what makes the
+// serial comparison sound.
+class Session {
+ public:
+  Session(const RunnerOptions& options, uint64_t db_seed, ConnectionPtr conn)
+      : options_(options),
+        rng_(db_seed),
+        conn_(std::move(conn)),
+        dialect_(conn_->dialect()),
+        generator_(options.gen, dialect_),
+        plan_(GeneratePlan()),
+        model_(dialect_),
+        replay_(options.gen.txn_sessions > 1
+                    ? std::make_unique<minidb::Database>(dialect_)
+                    : nullptr),
+        scheduler_(&generator_, options.gen, &plan_),
+        session_txns_(static_cast<size_t>(options.gen.txn_sessions)) {
+    ++stats_.databases_created;
   }
-  Dialect dialect = conn->dialect();
-  Generator generator(options.gen, dialect);
-  DatabasePlan plan;
-  {
-    obs::ScopedPhase span(obs::Phase::kGenerate);
-    plan = generator.GenerateDatabase(&rng);
-    // Guarantee at least one index per table: the transaction stream never
-    // issues DDL, so only setup indexes keep the index-maintenance paths
-    // (and the rollback-stale-index probe below) reachable. A unique index
-    // over already-inserted duplicate data is rejected as a tolerated
-    // constraint violation, same as mid-session CREATE INDEX.
-    int index_counter = 0;
-    for (const StmtPtr& s : plan.statements) {
-      if (s->kind() == StmtKind::kCreateIndex) ++index_counter;
-    }
-    for (const TableSchema& table : plan.tables) {
-      plan.statements.push_back(generator.GenerateIndex(
-          table, "i" + std::to_string(index_counter++), &rng));
-    }
-  }
-  ++out.stats.databases_created;
 
-  minidb::Database mirror(dialect);  // interleaved ground truth
-  minidb::Database replay(dialect);  // serial committed-state ground truth
-  ActionScheduler scheduler(&generator, options.gen, &plan);
-  std::vector<StmtPtr> stream_log;
-
-  bool finding_in_db = false;
-  auto record = [&](Finding finding) {
-    finding.dialect = dialect;
-    finding.seed = options.seed;
-    if (obs::SessionTelemetry* t = obs::CurrentTelemetry()) {
-      t->metrics.Count(obs::Counter::kFindingsRecorded);
-      t->recorder.Emit(t->clock, obs::EventKind::kFindingRecorded,
-                       static_cast<uint32_t>(finding.oracle));
-      finding.flight = t->recorder.Dump();
-    }
-    out.findings.push_back(std::move(finding));
-    finding_in_db = true;
-  };
-
-  auto exec_engine = [&](const Stmt& stmt) {
-    StatementResult r;
-    {
-      obs::ScopedPhase span(obs::Phase::kEngineExecute);
-      r = conn->Execute(stmt);
-      obs::CountStatement(static_cast<uint32_t>(stmt.kind()), !r.ok());
-    }
-    ++out.stats.statements_executed;
-    return r;
-  };
-  auto exec_mirror = [&](const Stmt& stmt) {
-    obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-    return mirror.Execute(stmt);
-  };
-
-  // Key columns of setup indexes the mirror accepted, for the index-probe
-  // check (a corrupted index shows up only through an indexed lookup).
-  std::vector<std::pair<std::string, std::string>> probe_cols;
-
-  // --- Setup on all three engines (DDL + base data + indexes). ---------
-  size_t setup_done = 0;
-  for (const StmtPtr& stmt : plan.statements) {
-    StatementResult result = exec_engine(*stmt);
-    ++setup_done;
-    StatementResult mirror_result = exec_mirror(*stmt);
-    {
-      obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-      replay.Execute(*stmt);
-    }
-    scheduler.Observe(*stmt, mirror_result.ok());
-    if (mirror_result.ok() && stmt->kind() == StmtKind::kCreateIndex) {
-      const auto& ci = static_cast<const CreateIndexStmt&>(*stmt);
-      if (!ci.columns.empty()) {
-        probe_cols.emplace_back(ci.table_name, ci.columns[0]);
+  DbRunResult Run() {
+    if (Setup()) {
+      for (int q = 0; q < options_.queries_per_database; ++q) {
+        if (!Mutate() || !Check()) break;
       }
     }
-    if (result.status == StatementStatus::kConstraintViolation) {
-      ++out.stats.constraint_violations;
-      continue;
-    }
-    if (result.status == StatementStatus::kUnsupported) {
-      out.unsupported_engine = true;
-      return out;
-    }
-    if (result.status == StatementStatus::kError ||
-        result.status == StatementStatus::kCrash) {
-      Finding finding;
-      finding.oracle = result.status == StatementStatus::kError
-                           ? OracleKind::kError
-                           : OracleKind::kCrash;
-      finding.statements = CloneLog(plan, setup_done, nullptr);
-      finding.message = result.error;
-      record(std::move(finding));
-      break;
-    }
+    return std::move(out_);
   }
-  if (finding_in_db) return out;
 
+ private:
   // Per-session bookkeeping for the serial-replay model: the successful
   // DML of each open transaction, forwarded on commit.
   struct SessionTxn {
     bool open = false;
     std::vector<StmtPtr> committed_dml;
   };
-  int sessions = options.gen.txn_sessions;
-  std::vector<SessionTxn> session_txns(static_cast<size_t>(sessions));
-  int current_session = 0;
 
-  // Routes a statement to the engine and the mirror, prefixing a session
-  // switch when `session` differs from the last action's. Every executed
-  // stream statement lands in stream_log so findings replay flat.
-  auto switch_session = [&](int session) {
-    if (session == current_session) return;
-    auto set = std::make_unique<SetSessionStmt>();
-    set->session = session;
-    exec_engine(*set);
-    exec_mirror(*set);
-    current_session = session;
-    stream_log.push_back(std::move(set));
-  };
-
-  // Engine-vs-replay committed-state comparison: the engine's post-commit
-  // autocommit view of every table must equal the serial replay of the
-  // committed transactions. Returns false when a finding was recorded.
-  auto committed_state_matches = [&]() {
-    ++out.stats.txn_serial_replays;
-    for (const TableSchema& table : plan.tables) {
-      SelectStmt fetch;
-      fetch.from_tables = {table.name};
-      StatementResult rows = exec_engine(fetch);
-      if (rows.status == StatementStatus::kUnsupported) {
-        out.unsupported_engine = true;
-        return false;
-      }
-      if (!rows.ok()) {
-        Finding finding;
-        finding.oracle = rows.status == StatementStatus::kCrash
-                             ? OracleKind::kCrash
-                             : OracleKind::kError;
-        finding.statements = CloneSession(plan, stream_log, &fetch);
-        finding.message = rows.error;
-        record(std::move(finding));
-        return false;
-      }
-      const std::vector<std::vector<SqlValue>>* serial_rows =
-          replay.TableRows(table.name);
-      bool diverged;
-      {
-        obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-        diverged = serial_rows != nullptr &&
-                   !SameRowMultiset(rows.rows, *serial_rows);
-      }
-      if (diverged) {
-        Finding finding;
-        finding.oracle = OracleKind::kTxnSerial;
-        finding.statements = CloneSession(plan, stream_log, &fetch);
-        finding.message =
-            "table " + table.name +
-            " diverged from the serial replay of committed transactions: "
-            "engine has " +
-            std::to_string(rows.rows.size()) + " row(s), serial replay " +
-            std::to_string(serial_rows->size());
-        record(std::move(finding));
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // --- Interleaved transaction stream + checks. ------------------------
-  for (int q = 0; q < options.queries_per_database && !finding_in_db; ++q) {
-    for (SessionAction& action : scheduler.NextTxnBatch(&rng)) {
-      switch_session(action.session);
-      SessionTxn& sess = session_txns[static_cast<size_t>(action.session)];
-      StmtKind kind = action.stmt->kind();
-      StatementResult engine_result = exec_engine(*action.stmt);
-      TallyAction(*action.stmt, &out.stats);
-      StatementResult mirror_result = exec_mirror(*action.stmt);
-      uint32_t clock = static_cast<uint32_t>(mirror.commit_clock());
-      bool committed = false;
-      switch (kind) {
-        case StmtKind::kBegin:
-          if (mirror_result.ok()) {
-            sess.open = true;
-            sess.committed_dml.clear();
-            ++out.stats.txn_begins;
-            obs::Count(obs::Counter::kTxnBegins);
-            obs::Emit(obs::EventKind::kTxnBegin,
-                      static_cast<uint32_t>(action.session), clock);
-          }
-          break;
-        case StmtKind::kCommit:
-          if (mirror_result.ok()) {
-            ++out.stats.txn_commits;
-            obs::Count(obs::Counter::kTxnCommits);
-            obs::Emit(obs::EventKind::kTxnCommit,
-                      static_cast<uint32_t>(action.session), clock);
-            obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-            for (const StmtPtr& dml : sess.committed_dml) {
-              replay.Execute(*dml);
-            }
-          } else if (mirror_result.status == StatementStatus::kTxnConflict) {
-            ++out.stats.txn_conflicts;
-            obs::Count(obs::Counter::kTxnConflicts);
-            obs::Emit(obs::EventKind::kTxnAbort,
-                      static_cast<uint32_t>(action.session), 1);
-          }
-          sess.open = false;
-          sess.committed_dml.clear();
-          committed = true;
-          break;
-        case StmtKind::kRollback:
-          if (mirror_result.ok()) {
-            ++out.stats.txn_rollbacks;
-            obs::Count(obs::Counter::kTxnRollbacks);
-            obs::Emit(obs::EventKind::kTxnAbort,
-                      static_cast<uint32_t>(action.session), 0);
-          }
-          sess.open = false;
-          sess.committed_dml.clear();
-          break;
-        default:  // DML
-          if (mirror_result.ok()) {
-            if (sess.open) {
-              sess.committed_dml.push_back(action.stmt->Clone());
-            } else {
-              // Autocommit DML is its own committed transaction; the
-              // serial model receives it immediately.
-              obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-              replay.Execute(*action.stmt);
-            }
-          }
-          break;
-      }
-      StatementStatus status = engine_result.status;
-      std::string error = std::move(engine_result.error);
-      stream_log.push_back(std::move(action.stmt));
-      if (status == StatementStatus::kUnsupported) {
-        out.unsupported_engine = true;
-        return out;
-      }
-      if (status == StatementStatus::kTxnConflict ||
-          status == StatementStatus::kConstraintViolation) {
-        if (status == StatementStatus::kConstraintViolation) {
-          ++out.stats.constraint_violations;
-        }
-        // A first-committer-wins conflict is expected SI behavior, never
-        // a finding; the serial model only ever sees the winner.
-      } else if (status == StatementStatus::kError ||
-                 status == StatementStatus::kCrash) {
-        Finding finding;
-        finding.oracle = status == StatementStatus::kError
-                             ? OracleKind::kError
-                             : OracleKind::kCrash;
-        finding.statements = CloneSession(plan, stream_log, nullptr);
-        finding.message = error;
-        record(std::move(finding));
-        break;
-      }
-      // Committed-state check right after every COMMIT: the strongest
-      // point to compare, since the committing session is back in
-      // autocommit and reads the latest committed state.
-      if (committed && !committed_state_matches()) break;
-    }
-    if (finding_in_db || out.unsupported_engine) break;
-
-    // Snapshot check: inside a randomly chosen session's view, the engine
-    // must agree with the mirror (which replays the identical interleaved
-    // stream on a clean engine). Runs *before* the index probe so a
-    // dirty-read divergence always attributes to the transaction oracle.
-    switch_session(static_cast<int>(rng.Below(static_cast<size_t>(sessions))));
-    for (const TableSchema& table : plan.tables) {
-      SelectStmt fetch;
-      fetch.from_tables = {table.name};
-      StatementResult engine_rows = exec_engine(fetch);
-      ++out.stats.txn_snapshot_checks;
-      if (engine_rows.status == StatementStatus::kUnsupported) {
-        out.unsupported_engine = true;
-        return out;
-      }
-      if (!engine_rows.ok()) {
-        Finding finding;
-        finding.oracle = engine_rows.status == StatementStatus::kCrash
-                             ? OracleKind::kCrash
-                             : OracleKind::kError;
-        finding.statements = CloneSession(plan, stream_log, &fetch);
-        finding.message = engine_rows.error;
-        record(std::move(finding));
-        break;
-      }
-      StatementResult mirror_rows = exec_mirror(fetch);
-      if (!mirror_rows.ok()) continue;  // clean mirror; defensive
-      if (!SameRowMultiset(engine_rows.rows, mirror_rows.rows)) {
-        Finding finding;
-        finding.oracle = OracleKind::kTxnSerial;
-        finding.statements = CloneSession(plan, stream_log, &fetch);
-        finding.message =
-            "session " + std::to_string(current_session) +
-            " snapshot of table " + table.name +
-            " diverged from the interleaved ground-truth replay: engine "
-            "has " +
-            std::to_string(engine_rows.rows.size()) + " row(s), reference " +
-            std::to_string(mirror_rows.rows.size());
-        record(std::move(finding));
-        break;
-      }
-    }
-    if (finding_in_db) break;
-
-    // Index probe: an equality lookup on an indexed column. The mirror's
-    // rows must be multiset-contained in the engine's — a stale index
-    // entry left by a rolled-back transaction makes the engine's indexed
-    // scan *miss* rows, while extra rows (a dirty read) never misfire
-    // this check.
-    if (!probe_cols.empty()) {
-      const auto& [probe_table, probe_col] =
-          probe_cols[rng.Below(probe_cols.size())];
-      const std::vector<std::vector<SqlValue>>* committed_rows =
-          replay.TableRows(probe_table);
-      const TableSchema* schema = nullptr;
-      size_t col_index = 0;
-      for (const TableSchema& table : plan.tables) {
-        if (table.name != probe_table) continue;
-        schema = &table;
-        for (size_t c = 0; c < table.columns.size(); ++c) {
-          if (table.columns[c].name == probe_col) col_index = c;
-        }
-      }
-      if (schema != nullptr && committed_rows != nullptr &&
-          !committed_rows->empty()) {
-        const auto& sample =
-            (*committed_rows)[rng.Below(committed_rows->size())];
-        if (col_index < sample.size()) {
-          SelectStmt probe;
-          probe.from_tables = {probe_table};
-          probe.where =
-              MakeBinary(BinaryOp::kEq, MakeColumnRef(probe_table, probe_col),
-                         MakeLiteral(sample[col_index]));
-          StatementResult engine_rows = exec_engine(probe);
-          if (engine_rows.status == StatementStatus::kUnsupported) {
-            out.unsupported_engine = true;
-            return out;
-          }
-          if (!engine_rows.ok()) {
-            Finding finding;
-            finding.oracle = engine_rows.status == StatementStatus::kCrash
-                                 ? OracleKind::kCrash
-                                 : OracleKind::kError;
-            finding.statements = CloneSession(plan, stream_log, &probe);
-            finding.message = engine_rows.error;
-            record(std::move(finding));
-            continue;
-          }
-          StatementResult mirror_rows = exec_mirror(probe);
-          std::vector<SqlValue> missing;
-          if (mirror_rows.ok() &&
-              !RowsMultisetContained(mirror_rows.rows, engine_rows.rows,
-                                     &missing)) {
-            Finding finding;
-            finding.oracle = OracleKind::kContainment;
-            finding.statements = CloneSession(plan, stream_log, &probe);
-            finding.pivot = missing;
-            finding.message =
-                "indexed lookup on " + probe_table + "." + probe_col +
-                " dropped committed row(s): engine returned " +
-                std::to_string(engine_rows.rows.size()) +
-                " row(s), ground-truth replay " +
-                std::to_string(mirror_rows.rows.size());
-            record(std::move(finding));
-          }
-        }
-      }
-    }
-  }
-  return out;
-}
-
-// One iteration of the Algorithm 1+3 loop: build a database from its
-// private RNG stream, then pivot-check queries against the oracles. This
-// body is what the paper runs in every fuzzing thread; workers execute it
-// unchanged and only the merge below is sharding-aware. Runs under an
-// installed SessionTelemetry (see the RunOneDatabase wrapper), so engine
-// internals emit into this session's registry and flight ring.
-DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
-                               const RunnerOptions& options,
-                               uint64_t db_seed) {
-  if (options.gen.txn_sessions > 1) {
-    // Interleaved-transaction branch: K sessions, snapshot isolation, and
-    // the serial-replay oracle in place of pivot containment.
-    return RunTxnDatabase(factory, worker, options, db_seed);
-  }
-  DbRunResult out;
-  Rng rng(db_seed);
-  ConnectionPtr conn = factory(worker);
-  if (conn == nullptr) {
-    out.factory_failed = true;
-    return out;
-  }
-  Dialect dialect = conn->dialect();
-  Generator generator(options.gen, dialect);
-  DatabasePlan plan;
-  {
+  DatabasePlan GeneratePlan() {
     obs::ScopedPhase span(obs::Phase::kGenerate);
-    plan = generator.GenerateDatabase(&rng);
+    DatabasePlan plan = generator_.GenerateDatabase(&rng_);
+    if (options_.gen.txn_sessions > 1) {
+      // Guarantee at least one index per table: the transaction stream
+      // never issues DDL, so only setup indexes keep the index-maintenance
+      // paths (and the rollback-stale-index probe) reachable. A unique
+      // index over already-inserted duplicate data is rejected as a
+      // tolerated constraint violation, same as mid-session CREATE INDEX.
+      int index_counter = 0;
+      for (const StmtPtr& s : plan.statements) {
+        if (s->kind() == StmtKind::kCreateIndex) ++index_counter;
+      }
+      for (const TableSchema& table : plan.tables) {
+        plan.statements.push_back(generator_.GenerateIndex(
+            table, "i" + std::to_string(index_counter++), &rng_));
+      }
+    }
+    return plan;
   }
-  ++out.stats.databases_created;
 
-  // Ground truth under mutation (DESIGN §9): a clean MiniDB instance —
-  // the reference implementation of the shared interp core — replays
-  // every setup and mutation statement alongside the engine under test.
-  // At each pivot selection the engine's table contents are compared with
-  // the model's as multisets, so a mutation the engine applied wrongly
-  // (lost row, ghost row, wrong value) is caught even though the later
-  // rectified query can only prove *pivot* containment.
-  minidb::Database model(dialect);
-  ActionScheduler scheduler(&generator, options.gen, &plan);
-  std::vector<StmtPtr> mutation_log;
+  // Runs one statement on the engine under test.
+  StatementResult Exec(const Stmt& stmt) {
+    StatementResult result;
+    {
+      obs::ScopedPhase span(obs::Phase::kEngineExecute);
+      result = conn_->Execute(stmt);
+      obs::CountStatement(static_cast<uint32_t>(stmt.kind()), !result.ok());
+    }
+    ++stats_.statements_executed;
+    return result;
+  }
 
-  bool finding_in_db = false;
-  auto record = [&](Finding finding) {
-    finding.dialect = dialect;
-    finding.seed = options.seed;
+  StatementResult ExecModel(const Stmt& stmt) {
+    obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
+    return model_.Execute(stmt);
+  }
+
+  // The judgement of every engine answer. kUnsupported ends the run. On a
+  // state-changing statement a kConstraintViolation (a rejected random
+  // write, counted) and a kTxnConflict (a first-committer-wins abort,
+  // expected under SI; the serial model only ever sees the winner) are
+  // tolerated. Everything else — kError and kCrash anywhere, any failure
+  // of a SELECT — is a finding. Returns false when the session ends here.
+  bool Judge(const Stmt& stmt, const StatementResult& result) {
+    bool query = stmt.kind() == StmtKind::kSelect;
+    switch (result.status) {
+      case StatementStatus::kOk:
+        return true;
+      case StatementStatus::kUnsupported:
+        return Unsupported();
+      case StatementStatus::kConstraintViolation:
+        if (query) break;
+        ++stats_.constraint_violations;
+        return true;
+      case StatementStatus::kTxnConflict:
+        if (query) break;
+        return true;
+      case StatementStatus::kError:
+      case StatementStatus::kCrash:
+        break;
+    }
+    return Fail(result.status == StatementStatus::kCrash ? OracleKind::kCrash
+                                                         : OracleKind::kError,
+                Replay(query ? &stmt : nullptr), result.error);
+  }
+
+  // The engine cannot run the workload (e.g. the stub SQLite adapter): the
+  // run ends with this session, which reports what it had.
+  bool Unsupported() {
+    out_.unsupported_engine = true;
+    return false;
+  }
+
+  // Records a finding, which ends the session (always returns false).
+  bool Fail(OracleKind oracle, std::vector<StmtPtr> statements,
+            std::string message, std::vector<SqlValue> pivot = {}) {
+    Finding finding;
+    finding.oracle = oracle;
+    finding.dialect = dialect_;
+    finding.statements = std::move(statements);
+    finding.pivot = std::move(pivot);
+    finding.message = std::move(message);
+    finding.seed = options_.seed;
     // Provenance: stamp the finding into the flight ring, then ship the
     // ring's contents with the finding. The dump is therefore never empty
     // (it at least holds its own kFindingRecorded marker) and is a pure
@@ -676,350 +356,291 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
                        static_cast<uint32_t>(finding.oracle));
       finding.flight = t->recorder.Dump();
     }
-    out.findings.push_back(std::move(finding));
-    finding_in_db = true;
-  };
+    out_.findings.push_back(std::move(finding));
+    return false;
+  }
 
-  // --- Setup phase: DDL + DML. ---------------------------------------
-  size_t setup_done = 0;
-  for (const StmtPtr& stmt : plan.statements) {
-    StatementResult result;
-    {
-      obs::ScopedPhase span(obs::Phase::kEngineExecute);
-      result = conn->Execute(*stmt);
-      obs::CountStatement(static_cast<uint32_t>(stmt->kind()), !result.ok());
+  // The replayable session: the setup statements executed so far, every
+  // stream statement since, and optionally the SELECT that triggered a
+  // finding. Stream statements never read their own results, so this flat
+  // order reproduces the exact state a finding was observed in. Only
+  // called when a finding is recorded, so the common path never copies
+  // ASTs.
+  std::vector<StmtPtr> Replay(const Stmt* last) const {
+    std::vector<StmtPtr> out;
+    out.reserve(setup_done_ + log_.size() + 1);
+    for (size_t i = 0; i < setup_done_; ++i) {
+      out.push_back(plan_.statements[i]->Clone());
     }
-    ++out.stats.statements_executed;
-    ++setup_done;
-    StatementResult model_result;
+    for (const StmtPtr& s : log_) out.push_back(s->Clone());
+    if (last != nullptr) out.push_back(last->Clone());
+    return out;
+  }
+
+  // Compares the engine's rows of the single-table `fetch` with the
+  // reference rows as multisets. A divergence is a finding whose pivot is
+  // the first reference row the engine lost (none when the engine instead
+  // holds rows the reference does not).
+  bool CompareTable(const SelectStmt& fetch, const StatementResult& engine,
+                    Reference reference) {
+    const std::string& table = fetch.from_tables[0];
+    // The stored rows of a clean MiniDB are the multiset a bare SELECT *
+    // returns, without the query machinery. The snapshot needs the
+    // mirror's session view, so it runs the fetch there.
+    const Rows* expected = nullptr;
+    if (reference == Reference::kModel) {
+      expected = model_.TableRows(table);
+    } else if (reference == Reference::kSerialReplay) {
+      expected = replay_->TableRows(table);
+    }
+    StatementResult mirror;
+    bool same;
     {
       obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-      model_result = model.Execute(*stmt);
+      if (reference == Reference::kSnapshot) {
+        mirror = model_.Execute(fetch);
+        if (mirror.ok()) expected = &mirror.rows;  // clean mirror; defensive
+      }
+      same = expected == nullptr || SameRowMultiset(engine.rows, *expected);
     }
-    scheduler.Observe(*stmt, model_result.ok());
-    if (result.status == StatementStatus::kConstraintViolation) {
-      ++out.stats.constraint_violations;
-      continue;
+    if (same) return true;
+    std::vector<SqlValue> lost;
+    for (const std::vector<SqlValue>& row : *expected) {
+      if (!ResultContainsRow(engine, row)) {
+        lost = row;
+        break;
+      }
     }
-    if (result.status == StatementStatus::kUnsupported) {
-      out.unsupported_engine = true;
-      return out;
+    std::string subject = "table " + table;
+    const char* against = "the ground-truth mutation replay";
+    const char* reference_name = "reference";
+    if (reference == Reference::kSerialReplay) {
+      against = "the serial replay of committed transactions";
+      reference_name = "serial replay";
+    } else if (reference == Reference::kSnapshot) {
+      subject = "session " + std::to_string(current_session_) +
+                " snapshot of " + subject;
+      against = "the interleaved ground-truth replay";
     }
-    if (result.status == StatementStatus::kError ||
-        result.status == StatementStatus::kCrash) {
-      Finding finding;
-      finding.oracle = result.status == StatementStatus::kError
-                           ? OracleKind::kError
-                           : OracleKind::kCrash;
-      finding.statements = CloneLog(plan, setup_done, nullptr);
-      finding.message = result.error;
-      record(std::move(finding));
-      break;
+    return Fail(reference == Reference::kModel ? OracleKind::kContainment
+                                               : OracleKind::kTxnSerial,
+                Replay(&fetch),
+                subject + " diverged from " + against + ": engine has " +
+                    std::to_string(engine.rows.size()) + " row(s), " +
+                    reference_name + " " + std::to_string(expected->size()),
+                std::move(lost));
+  }
+
+  // SELECT * of `table` on the engine, judged and then compared with the
+  // model (the ground-truth state comparison, DESIGN §9).
+  bool FetchTable(const std::string& table, StatementResult* rows) {
+    SelectStmt fetch;
+    fetch.from_tables = {table};
+    *rows = Exec(fetch);
+    if (!Judge(fetch, *rows)) return false;
+    ++stats_.state_compares;
+    return CompareTable(fetch, *rows, Reference::kModel);
+  }
+
+  // Typed-expression stats: generated-predicate depth histogram and
+  // function-call tallies (surfaced through bench_figure3).
+  void TallyPredicate(const Expr& predicate) {
+    ++stats_.predicate_depth_buckets[ExprDepthBucket(predicate.Depth())];
+    size_t calls = predicate.CountKind(ExprKind::kFunctionCall);
+    stats_.function_calls_generated += calls;
+    if (calls > 0) ++stats_.predicates_with_function;
+  }
+
+  // --- Setup: DDL, base data and indexes on engine and model. ----------
+  bool Setup() {
+    for (const StmtPtr& stmt : plan_.statements) {
+      StatementResult result = Exec(*stmt);
+      ++setup_done_;
+      StatementResult model_result = ExecModel(*stmt);
+      if (replay_ != nullptr) {
+        {
+          obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
+          replay_->Execute(*stmt);
+        }
+        // Key columns of setup indexes the mirror accepted, for the index
+        // probe (a corrupted index shows up only through an indexed lookup).
+        if (model_result.ok() && stmt->kind() == StmtKind::kCreateIndex) {
+          const auto& ci = static_cast<const CreateIndexStmt&>(*stmt);
+          if (!ci.columns.empty()) {
+            probe_cols_.emplace_back(ci.table_name, ci.columns[0]);
+          }
+        }
+      }
+      scheduler_.Observe(*stmt, model_result.ok());
+      if (!Judge(*stmt, result)) return false;
+    }
+    return true;
+  }
+
+  // --- Mutate: the statement stream between two checks (DESIGN §9). ----
+  // NextBatch's weighted mutation mix, or in K-session runs NextTxnBatch's
+  // interleaved BEGIN/COMMIT/ROLLBACK stream (DESIGN §14).
+  bool Mutate() {
+    if (replay_ == nullptr) {
+      for (StmtPtr& stmt : scheduler_.NextBatch(&rng_)) {
+        if (!Apply(std::move(stmt))) return false;
+      }
+      return true;
+    }
+    for (SessionAction& action : scheduler_.NextTxnBatch(&rng_)) {
+      SwitchSession(action.session);
+      if (!Apply(std::move(action.stmt))) return false;
+    }
+    return true;
+  }
+
+  // One stream statement, on the engine and then the model.
+  bool Apply(StmtPtr stmt) {
+    StatementResult result = Exec(*stmt);
+    TallyAction(*stmt, &stats_);
+    StatementResult model_result = ExecModel(*stmt);
+    scheduler_.Observe(*stmt, model_result.ok());
+    bool committed = replay_ != nullptr && TrackTxn(*stmt, model_result);
+    log_.push_back(std::move(stmt));
+    if (!Judge(*log_.back(), result)) return false;
+    // Committed-state check right after every COMMIT: the strongest point
+    // to compare, since the committing session is back in autocommit and
+    // reads the latest committed state.
+    return !committed || CommittedStateMatches();
+  }
+
+  // Prefixes a session switch when `session` differs from the last
+  // action's. The switch joins the log so findings replay flat; a switch
+  // the engine refused surfaces on the statement that follows it.
+  void SwitchSession(int session) {
+    if (session == current_session_) return;
+    auto set = std::make_unique<SetSessionStmt>();
+    set->session = session;
+    Exec(*set);
+    ExecModel(*set);
+    current_session_ = session;
+    log_.push_back(std::move(set));
+  }
+
+  // Transaction lifecycle of one stream statement the mirror ran in the
+  // current session, and the serial-replay model's share of it: an open
+  // transaction's successful DML waits for its COMMIT, autocommit DML is
+  // its own committed transaction. Returns true for a COMMIT.
+  bool TrackTxn(const Stmt& stmt, const StatementResult& mirror_result) {
+    SessionTxn& sess = session_txns_[static_cast<size_t>(current_session_)];
+    uint32_t session = static_cast<uint32_t>(current_session_);
+    uint32_t clock = static_cast<uint32_t>(model_.commit_clock());
+    switch (stmt.kind()) {
+      case StmtKind::kBegin:
+        if (mirror_result.ok()) {
+          sess.open = true;
+          sess.committed_dml.clear();
+          ++stats_.txn_begins;
+          obs::Count(obs::Counter::kTxnBegins);
+          obs::Emit(obs::EventKind::kTxnBegin, session, clock);
+        }
+        return false;
+      case StmtKind::kCommit:
+        if (mirror_result.ok()) {
+          ++stats_.txn_commits;
+          obs::Count(obs::Counter::kTxnCommits);
+          obs::Emit(obs::EventKind::kTxnCommit, session, clock);
+          obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
+          for (const StmtPtr& dml : sess.committed_dml) replay_->Execute(*dml);
+        } else if (mirror_result.status == StatementStatus::kTxnConflict) {
+          ++stats_.txn_conflicts;
+          obs::Count(obs::Counter::kTxnConflicts);
+          obs::Emit(obs::EventKind::kTxnAbort, session, 1);
+        }
+        sess.open = false;
+        sess.committed_dml.clear();
+        return true;
+      case StmtKind::kRollback:
+        if (mirror_result.ok()) {
+          ++stats_.txn_rollbacks;
+          obs::Count(obs::Counter::kTxnRollbacks);
+          obs::Emit(obs::EventKind::kTxnAbort, session, 0);
+        }
+        sess.open = false;
+        sess.committed_dml.clear();
+        return false;
+      default:  // DML
+        if (!mirror_result.ok()) return false;
+        if (sess.open) {
+          sess.committed_dml.push_back(stmt.Clone());
+        } else {
+          obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
+          replay_->Execute(stmt);
+        }
+        return false;
     }
   }
-  if (finding_in_db) return out;
 
-  // --- Query phase. ---------------------------------------------------
-  for (int q = 0; q < options.queries_per_database && !finding_in_db; ++q) {
-    // Mutation phase: the weighted statement stream between pivot checks
-    // (DESIGN §9). Every action runs on the engine *and* the ground-truth
-    // model; a spurious error or crash is an oracle violation right here.
-    for (StmtPtr& action : scheduler.NextBatch(&rng)) {
-      StatementResult engine_result;
-      {
-        obs::ScopedPhase span(obs::Phase::kEngineExecute);
-        engine_result = conn->Execute(*action);
-        obs::CountStatement(static_cast<uint32_t>(action->kind()),
-                            !engine_result.ok());
-      }
-      ++out.stats.statements_executed;
-      TallyAction(*action, &out.stats);
-      StatementResult model_result;
-      {
-        obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-        model_result = model.Execute(*action);
-      }
-      scheduler.Observe(*action, model_result.ok());
-      StatementStatus status = engine_result.status;
-      std::string error = std::move(engine_result.error);
-      mutation_log.push_back(std::move(action));
-      if (status == StatementStatus::kUnsupported) {
-        out.unsupported_engine = true;
-        return out;
-      }
-      if (status == StatementStatus::kConstraintViolation) {
-        ++out.stats.constraint_violations;
-        continue;
-      }
-      if (status == StatementStatus::kError ||
-          status == StatementStatus::kCrash) {
-        Finding finding;
-        finding.oracle = status == StatementStatus::kError
-                             ? OracleKind::kError
-                             : OracleKind::kCrash;
-        // The triggering mutation is already the log's last statement.
-        finding.statements = CloneSession(plan, mutation_log, nullptr);
-        finding.message = error;
-        record(std::move(finding));
-        break;
-      }
-    }
-    if (finding_in_db) break;
-
-    if (options.family == OracleFamily::kNorec ||
-        options.family == OracleFamily::kTlp) {
-      // Metamorphic check: one random table. The ground-truth state
-      // comparison stays on as for containment — a mutation the engine
-      // lost is caught before it can masquerade as a metamorphic
-      // mismatch — then the family's transformed queries run in place of
-      // the pivot-containment query.
-      const TableSchema& table = plan.tables[rng.Below(plan.tables.size())];
+  // The engine's post-commit autocommit view of every table must equal
+  // the serial replay of the committed transactions.
+  bool CommittedStateMatches() {
+    ++stats_.txn_serial_replays;
+    for (const TableSchema& table : plan_.tables) {
       SelectStmt fetch;
       fetch.from_tables = {table.name};
-      StatementResult rows;
-      {
-        obs::ScopedPhase span(obs::Phase::kEngineExecute);
-        rows = conn->Execute(fetch);
-        obs::CountStatement(static_cast<uint32_t>(StmtKind::kSelect),
-                            !rows.ok());
+      StatementResult rows = Exec(fetch);
+      if (!Judge(fetch, rows) ||
+          !CompareTable(fetch, rows, Reference::kSerialReplay)) {
+        return false;
       }
-      ++out.stats.statements_executed;
-      if (rows.status == StatementStatus::kUnsupported) {
-        out.unsupported_engine = true;
-        return out;
-      }
-      if (!rows.ok()) {
-        Finding finding;
-        finding.oracle = rows.status == StatementStatus::kCrash
-                             ? OracleKind::kCrash
-                             : OracleKind::kError;
-        finding.statements = CloneSession(plan, mutation_log, &fetch);
-        finding.message = rows.error;
-        record(std::move(finding));
-        break;
-      }
-      // The model is a concrete clean MiniDB, so the state comparison can
-      // read its stored rows directly — the same multiset a bare SELECT *
-      // through Execute would return, without the query machinery.
-      const std::vector<std::vector<SqlValue>>* model_rows =
-          model.TableRows(table.name);
-      ++out.stats.state_compares;
-      bool state_diverged;
-      {
-        obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-        state_diverged = model_rows != nullptr &&
-                         !SameRowMultiset(rows.rows, *model_rows);
-      }
-      if (state_diverged) {
-        Finding finding;
-        finding.oracle = OracleKind::kContainment;
-        finding.statements = CloneSession(plan, mutation_log, &fetch);
-        finding.message =
-            "table " + table.name +
-            " diverged from the ground-truth mutation replay: engine has " +
-            std::to_string(rows.rows.size()) + " row(s), reference " +
-            std::to_string(model_rows->size());
-        record(std::move(finding));
-        break;
-      }
-
-      std::vector<const TableSchema*> single{&table};
-      ExprPtr predicate;
-      {
-        obs::ScopedPhase span(obs::Phase::kGenerate);
-        predicate = generator.GeneratePredicate(single, &rng);
-        if (options.family == OracleFamily::kNorec) {
-          // NoREC's optimized side engages the planner; the partial-index
-          // probe keeps the partial-index scan paths reachable there too.
-          if (ExprPtr probe =
-                  scheduler.MaybePartialIndexProbe(table.name, &rng)) {
-            predicate = MakeBinary(BinaryOp::kAnd, std::move(probe),
-                                   std::move(predicate));
-          }
-        }
-      }
-      int meta_depth = predicate->Depth();
-      ++out.stats.predicate_depth_buckets[ExprDepthBucket(meta_depth)];
-      size_t meta_calls = predicate->CountKind(ExprKind::kFunctionCall);
-      out.stats.function_calls_generated += meta_calls;
-      if (meta_calls > 0) ++out.stats.predicates_with_function;
-
-      sqlmeta::MetaOutcome outcome;
-      OracleKind mismatch_oracle = OracleKind::kNorec;
-      if (options.family == OracleFamily::kNorec) {
-        obs::ScopedPhase span(obs::Phase::kOracleCheck);
-        outcome = sqlmeta::RunNorecCheck(*conn, table.name, *predicate);
-      } else {
-        mismatch_oracle = OracleKind::kTlp;
-        std::unique_ptr<SelectStmt> full;
-        {
-          obs::ScopedPhase span(obs::Phase::kGenerate);
-          if (rng.Chance(options.gen.tlp_rows_shape_probability)) {
-            // Plain row-set shape: SELECT * recombined by multiset union.
-            full = std::make_unique<SelectStmt>();
-            full->from_tables.push_back(table.name);
-          } else {
-            full = generator.GenerateAggregateQuery(table, &rng);
-          }
-        }
-        if (full->HasAggregates()) {
-          ++out.stats.aggregate_queries;
-          if (!full->group_by.empty()) ++out.stats.group_by_queries;
-          if (full->having != nullptr) ++out.stats.having_queries;
-        }
-        obs::ScopedPhase span(obs::Phase::kOracleCheck);
-        outcome = sqlmeta::RunTlpCheck(*conn, *full, *predicate);
-      }
-      out.stats.statements_executed += outcome.executed.size();
-      if (outcome.verdict == sqlmeta::MetaVerdict::kSkipped) {
-        ++out.stats.queries_skipped;
-        continue;
-      }
-      if (outcome.verdict == sqlmeta::MetaVerdict::kUnsupported) {
-        out.unsupported_engine = true;
-        return out;
-      }
-      ++out.stats.queries_checked;
-      obs::Emit(obs::EventKind::kOracleCheck,
-                static_cast<uint32_t>(mismatch_oracle),
-                outcome.verdict != sqlmeta::MetaVerdict::kOk ? 1u : 0u);
-      if (options.family == OracleFamily::kNorec) {
-        ++out.stats.norec_checks;
-      } else {
-        ++out.stats.tlp_checks;
-        size_t executed = outcome.executed.size();
-        out.stats.tlp_partition_queries += executed > 3 ? 3 : executed;
-      }
-      if (outcome.verdict == sqlmeta::MetaVerdict::kOk) continue;
-      Finding finding;
-      if (outcome.verdict == sqlmeta::MetaVerdict::kMismatch) {
-        finding.oracle = mismatch_oracle;
-      } else if (outcome.verdict == sqlmeta::MetaVerdict::kEngineCrash) {
-        finding.oracle = OracleKind::kCrash;
-      } else {
-        finding.oracle = OracleKind::kError;
-      }
-      // The replayable session plus every transformed query the check ran;
-      // the query that decided the verdict is last.
-      finding.statements = CloneSession(plan, mutation_log, nullptr);
-      for (StmtPtr& s : outcome.executed) {
-        finding.statements.push_back(std::move(s));
-      }
-      finding.message = outcome.message;
-      record(std::move(finding));
-      break;
     }
+    return true;
+  }
 
+  // --- Check units. ----------------------------------------------------
+  bool Check() {
+    if (replay_ != nullptr) return CheckTxn();
+    if (options_.family == OracleFamily::kNorec ||
+        options_.family == OracleFamily::kTlp) {
+      return CheckMeta();
+    }
+    return CheckContainment();
+  }
+
+  // Containment (paper §3.2, Algorithm 3): select a pivot, synthesize a
+  // rectified query, and require the engine to return the pivot.
+  bool CheckContainment() {
     QueryShape shape;
     {
       obs::ScopedPhase span(obs::Phase::kGenerate);
-      shape = generator.GenerateQueryShape(plan, &rng);
+      shape = generator_.GenerateQueryShape(plan_, &rng_);
     }
     const std::vector<const TableSchema*>& from = shape.tables;
 
     // Pivot selection through the Connection API: fetch each FROM
     // table's rows and pick one at random (paper §3.2 step 2 — re-run
     // after every mutation batch, so the pivot is always re-selected from
-    // the mutated state). The full rowsets are retained: the LIMIT bound
-    // below recomputes the query on them under reference semantics.
+    // the mutated state). Each fetch is also the ground-truth state
+    // comparison, which keeps containment exact under UPDATE/DELETE — a
+    // wrongly-deleted row could otherwise never be picked as a pivot. The
+    // full rowsets are retained: the LIMIT bound below recomputes the
+    // query on them under reference semantics.
     RowSchema pivot_schema;
     std::vector<SqlValue> pivot;
-    std::vector<std::vector<std::vector<SqlValue>>> table_rows;
-    bool have_pivot = true;
+    std::vector<Rows> table_rows;
     for (const TableSchema* table : from) {
-      SelectStmt fetch;
-      fetch.from_tables = {table->name};
       StatementResult rows;
-      {
-        obs::ScopedPhase span(obs::Phase::kEngineExecute);
-        rows = conn->Execute(fetch);
-        obs::CountStatement(static_cast<uint32_t>(StmtKind::kSelect),
-                            !rows.ok());
-      }
-      ++out.stats.statements_executed;
-      if (rows.status == StatementStatus::kUnsupported) {
-        out.unsupported_engine = true;
-        return out;
-      }
-      if (rows.status == StatementStatus::kError ||
-          rows.status == StatementStatus::kCrash ||
-          rows.status == StatementStatus::kConstraintViolation) {
-        Finding finding;
-        finding.oracle = rows.status == StatementStatus::kCrash
-                             ? OracleKind::kCrash
-                             : OracleKind::kError;
-        finding.statements = CloneSession(plan, mutation_log, &fetch);
-        finding.message = rows.error;
-        record(std::move(finding));
-        have_pivot = false;
-        break;
-      }
-      // Ground-truth state comparison: after replaying the same mutations
-      // through the shared interp core, the engine's table must hold
-      // exactly the model's rows. This is what keeps containment exact
-      // under UPDATE/DELETE — a wrongly-deleted row could otherwise never
-      // be picked as a pivot and would go unnoticed.
-      const std::vector<std::vector<SqlValue>>* model_rows =
-          model.TableRows(table->name);
-      ++out.stats.state_compares;
-      bool state_diverged;
-      {
-        obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-        state_diverged = model_rows != nullptr &&
-                         !SameRowMultiset(rows.rows, *model_rows);
-      }
-      if (state_diverged) {
-        Finding finding;
-        finding.oracle = OracleKind::kContainment;
-        finding.statements = CloneSession(plan, mutation_log, &fetch);
-        // The pivot is the first ground-truth row the engine lost (empty
-        // when the engine instead has rows the model does not).
-        for (const auto& model_row : *model_rows) {
-          bool present = false;
-          for (const auto& engine_row : rows.rows) {
-            if (engine_row.size() == model_row.size()) {
-              bool equal = true;
-              for (size_t c = 0; c < model_row.size(); ++c) {
-                if (!ValueEquals(engine_row[c], model_row[c])) {
-                  equal = false;
-                  break;
-                }
-              }
-              if (equal) present = true;
-            }
-            if (present) break;
-          }
-          if (!present) {
-            finding.pivot = model_row;
-            break;
-          }
-        }
-        finding.message =
-            "table " + table->name +
-            " diverged from the ground-truth mutation replay: engine has " +
-            std::to_string(rows.rows.size()) + " row(s), reference " +
-            std::to_string(model_rows->size());
-        record(std::move(finding));
-        have_pivot = false;
-        break;
-      }
+      if (!FetchTable(table->name, &rows)) return false;
       if (rows.rows.empty()) {
-        have_pivot = false;  // empty after rejections or deletes
-        ++out.stats.queries_skipped;
-        break;
+        ++stats_.queries_skipped;  // empty after rejections or deletes
+        return true;
       }
       table_rows.push_back(std::move(rows.rows));
       obs::PivotSelected(static_cast<uint32_t>(table_rows.size() - 1),
                          static_cast<uint32_t>(table_rows.back().size()));
-      const auto& row = table_rows.back()[rng.Below(table_rows.back().size())];
+      const auto& row = table_rows.back()[rng_.Below(table_rows.back().size())];
       for (size_t c = 0; c < table->columns.size() && c < row.size(); ++c) {
         pivot_schema.cols.emplace_back(table->name, table->columns[c].name);
         pivot.push_back(row[c]);
       }
     }
-    if (!have_pivot) continue;
 
-    EvalContext ground_truth{dialect, nullptr};
+    EvalContext ground_truth{dialect_, nullptr};
     RowView pivot_view{&pivot_schema, &pivot};
 
     // Join plan: generate each explicit ON condition and rectify it to
@@ -1028,7 +649,6 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
     // rectification ablated the raw ON is used (and, as with WHERE, the
     // containment check is skipped).
     std::vector<JoinClause> joins;
-    bool shape_ok = true;
     for (size_t j = 0; j < shape.join_kinds.size(); ++j) {
       JoinClause clause;
       clause.kind = shape.join_kinds[j];
@@ -1039,7 +659,7 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
         ExprPtr on;
         {
           obs::ScopedPhase span(obs::Phase::kGenerate);
-          on = generator.GenerateJoinCondition(earlier, from[j + 1], &rng);
+          on = generator_.GenerateJoinCondition(earlier, from[j + 1], &rng_);
         }
         // Covers the ON evaluation on the pivot and the rectifying wrap.
         obs::ScopedPhase rectify_span(obs::Phase::kRectify);
@@ -1047,27 +667,23 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
         Bool3 raw_on =
             EvaluatePredicate(*on, pivot_view, ground_truth, &on_error);
         if (on_error) {
-          shape_ok = false;  // generator statically prevents this
-          break;
+          ++stats_.queries_skipped;  // generator statically prevents this
+          return true;
         }
-        if (options.gen.rectify) {
+        if (options_.gen.rectify) {
           clause.on = RectifyToTrue(std::move(on), raw_on);
-          ++out.stats.join_conditions_rectified;
+          ++stats_.join_conditions_rectified;
         } else {
           clause.on = std::move(on);
         }
       }
       joins.push_back(std::move(clause));
     }
-    if (!shape_ok) {
-      ++out.stats.queries_skipped;
-      continue;
-    }
 
     ExprPtr predicate;
     {
       obs::ScopedPhase span(obs::Phase::kGenerate);
-      predicate = generator.GeneratePredicate(from, &rng);
+      predicate = generator_.GeneratePredicate(from, &rng_);
 
       // Partial-index probe: sometimes AND a live partial index's predicate
       // in front of the WHERE, making the partial-index scan planner
@@ -1076,7 +692,7 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
       // the whole expression, and the planner then simply falls back to a
       // full scan — sound either way).
       if (ExprPtr probe =
-              scheduler.MaybePartialIndexProbe(from[0]->name, &rng)) {
+              scheduler_.MaybePartialIndexProbe(from[0]->name, &rng_)) {
         predicate = MakeBinary(BinaryOp::kAnd, std::move(probe),
                                std::move(predicate));
       }
@@ -1093,36 +709,30 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
     }
     if (eval_error) {
       // The generator statically prevents this; defensive skip.
-      ++out.stats.queries_skipped;
-      continue;
+      ++stats_.queries_skipped;
+      return true;
     }
-    // Typed-expression stats: generated-predicate depth histogram and
-    // function-call tallies (surfaced through bench_figure3).
-    int depth = predicate->Depth();
-    ++out.stats.predicate_depth_buckets[ExprDepthBucket(depth)];
-    size_t calls = predicate->CountKind(ExprKind::kFunctionCall);
-    out.stats.function_calls_generated += calls;
-    if (calls > 0) ++out.stats.predicates_with_function;
+    TallyPredicate(*predicate);
 
     // The raw outcome is tallied in both modes (the ablation bench
     // prints it either way); rectification additionally wraps the
     // predicate so it is TRUE on the pivot.
     switch (raw) {
       case Bool3::kTrue:
-        ++out.stats.rectified_true;
+        ++stats_.rectified_true;
         break;
       case Bool3::kFalse:
-        ++out.stats.rectified_false;
+        ++stats_.rectified_false;
         break;
       case Bool3::kNull:
-        ++out.stats.rectified_null;
+        ++stats_.rectified_null;
         break;
     }
     ExprPtr where;
     {
       obs::ScopedPhase span(obs::Phase::kRectify);
-      where = options.gen.rectify ? RectifyToTrue(std::move(predicate), raw)
-                                  : std::move(predicate);
+      where = options_.gen.rectify ? RectifyToTrue(std::move(predicate), raw)
+                                   : std::move(predicate);
     }
 
     SelectStmt query;
@@ -1141,7 +751,7 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
     // LIMIT: only attached with a provably pivot-safe bound (worst-case
     // ordered rank of the pivot, or the whole result when unordered),
     // sometimes with slack so non-binding limits are exercised too.
-    if (shape.want_limit && options.gen.rectify) {
+    if (shape.want_limit && options_.gen.rectify) {
       int64_t rank = 0;
       bool rank_ok;
       {
@@ -1152,88 +762,231 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
                                      pivot, ground_truth, &rank);
       }
       if (!rank_ok) {
-        ++out.stats.queries_skipped;
-        continue;
+        ++stats_.queries_skipped;
+        return true;
       }
       query.limit =
-          rank + (rng.Chance(0.5) ? 0 : static_cast<int64_t>(rng.Below(4)));
-      ++out.stats.limited_queries;
+          rank + (rng_.Chance(0.5) ? 0 : static_cast<int64_t>(rng_.Below(4)));
+      ++stats_.limited_queries;
     }
 
-    StatementResult result;
+    StatementResult result = Exec(query);
+    ++stats_.queries_checked;
+    if (!Judge(query, result)) return false;
+    if (!options_.gen.rectify) return true;
+    bool contains;
     {
-      obs::ScopedPhase span(obs::Phase::kEngineExecute);
-      result = conn->Execute(query);
-      obs::CountStatement(static_cast<uint32_t>(StmtKind::kSelect),
-                          !result.ok());
-    }
-    ++out.stats.statements_executed;
-    ++out.stats.queries_checked;
-    if (result.status == StatementStatus::kUnsupported) {
-      out.unsupported_engine = true;
-      return out;
-    }
-    if (result.status == StatementStatus::kCrash) {
-      Finding finding;
-      finding.oracle = OracleKind::kCrash;
-      finding.statements = CloneSession(plan, mutation_log, &query);
-      finding.message = result.error;
-      record(std::move(finding));
-      break;
-    }
-    if (result.status == StatementStatus::kError ||
-        result.status == StatementStatus::kConstraintViolation) {
-      Finding finding;
-      finding.oracle = OracleKind::kError;
-      finding.statements = CloneSession(plan, mutation_log, &query);
-      finding.message = result.error;
-      record(std::move(finding));
-      break;
-    }
-    bool contains = true;
-    if (options.gen.rectify) {
       obs::ScopedPhase span(obs::Phase::kOracleCheck);
       contains = ResultContainsRow(result, pivot);
       obs::Emit(obs::EventKind::kOracleCheck,
                 static_cast<uint32_t>(OracleKind::kContainment),
                 contains ? 0u : 1u);
     }
-    if (options.gen.rectify && !contains) {
-      Finding finding;
-      finding.oracle = OracleKind::kContainment;
-      finding.statements = CloneSession(plan, mutation_log, &query);
-      finding.pivot = pivot;
-      std::string row_text;
-      for (const SqlValue& v : pivot) {
-        if (!row_text.empty()) row_text += ", ";
-        row_text += v.ToDisplay();
-      }
-      finding.message = "pivot row (" + row_text +
-                        ") missing from a rectified query's result of " +
-                        std::to_string(result.rows.size()) + " rows";
-      record(std::move(finding));
-      break;
+    if (contains) return true;
+    std::string row_text;
+    for (const SqlValue& v : pivot) {
+      if (!row_text.empty()) row_text += ", ";
+      row_text += v.ToDisplay();
     }
+    return Fail(OracleKind::kContainment, Replay(&query),
+                "pivot row (" + row_text +
+                    ") missing from a rectified query's result of " +
+                    std::to_string(result.rows.size()) + " rows",
+                std::move(pivot));
   }
-  return out;
-}
 
-// Telemetry wrapper around the Algorithm 1+3 body: installs a fresh
-// per-session telemetry context (registry + flight ring) for the duration
-// of the session and harvests the registry into the result. When the kill
-// switch is off, installation leaves the thread-local slot null and every
-// emit in the body is a single predictable branch.
+  // NoREC/TLP: the model state compare of one random table — a mutation
+  // the engine lost is caught before it can masquerade as a metamorphic
+  // mismatch — then the family's transformed queries (src/sqlmeta) run in
+  // place of the pivot-containment query.
+  bool CheckMeta() {
+    bool norec = options_.family == OracleFamily::kNorec;
+    const TableSchema& table = plan_.tables[rng_.Below(plan_.tables.size())];
+    StatementResult rows;
+    if (!FetchTable(table.name, &rows)) return false;
+
+    std::vector<const TableSchema*> single{&table};
+    ExprPtr predicate;
+    {
+      obs::ScopedPhase span(obs::Phase::kGenerate);
+      predicate = generator_.GeneratePredicate(single, &rng_);
+      if (norec) {
+        // NoREC's optimized side engages the planner; the partial-index
+        // probe keeps the partial-index scan paths reachable there too.
+        if (ExprPtr probe =
+                scheduler_.MaybePartialIndexProbe(table.name, &rng_)) {
+          predicate = MakeBinary(BinaryOp::kAnd, std::move(probe),
+                                 std::move(predicate));
+        }
+      }
+    }
+    TallyPredicate(*predicate);
+
+    sqlmeta::MetaOutcome outcome;
+    if (norec) {
+      obs::ScopedPhase span(obs::Phase::kOracleCheck);
+      outcome = sqlmeta::RunNorecCheck(*conn_, table.name, *predicate);
+    } else {
+      std::unique_ptr<SelectStmt> full;
+      {
+        obs::ScopedPhase span(obs::Phase::kGenerate);
+        if (rng_.Chance(options_.gen.tlp_rows_shape_probability)) {
+          // Plain row-set shape: SELECT * recombined by multiset union.
+          full = std::make_unique<SelectStmt>();
+          full->from_tables.push_back(table.name);
+        } else {
+          full = generator_.GenerateAggregateQuery(table, &rng_);
+        }
+      }
+      if (full->HasAggregates()) {
+        ++stats_.aggregate_queries;
+        if (!full->group_by.empty()) ++stats_.group_by_queries;
+        if (full->having != nullptr) ++stats_.having_queries;
+      }
+      obs::ScopedPhase span(obs::Phase::kOracleCheck);
+      outcome = sqlmeta::RunTlpCheck(*conn_, *full, *predicate);
+    }
+    stats_.statements_executed += outcome.executed.size();
+    if (outcome.verdict == sqlmeta::MetaVerdict::kSkipped) {
+      ++stats_.queries_skipped;
+      return true;
+    }
+    if (outcome.verdict == sqlmeta::MetaVerdict::kUnsupported) {
+      return Unsupported();
+    }
+    OracleKind family_oracle = norec ? OracleKind::kNorec : OracleKind::kTlp;
+    ++stats_.queries_checked;
+    obs::Emit(obs::EventKind::kOracleCheck,
+              static_cast<uint32_t>(family_oracle),
+              outcome.verdict != sqlmeta::MetaVerdict::kOk ? 1u : 0u);
+    if (norec) {
+      ++stats_.norec_checks;
+    } else {
+      ++stats_.tlp_checks;
+      size_t executed = outcome.executed.size();
+      stats_.tlp_partition_queries += executed > 3 ? 3 : executed;
+    }
+    if (outcome.verdict == sqlmeta::MetaVerdict::kOk) return true;
+    OracleKind oracle = family_oracle;
+    if (outcome.verdict == sqlmeta::MetaVerdict::kEngineCrash) {
+      oracle = OracleKind::kCrash;
+    } else if (outcome.verdict == sqlmeta::MetaVerdict::kEngineError) {
+      oracle = OracleKind::kError;
+    }
+    // The replayable session plus every transformed query the check ran;
+    // the query that decided the verdict is last.
+    std::vector<StmtPtr> statements = Replay(nullptr);
+    for (StmtPtr& s : outcome.executed) statements.push_back(std::move(s));
+    return Fail(oracle, std::move(statements), std::move(outcome.message));
+  }
+
+  // Transaction checks (DESIGN §14), after the stream's committed-state
+  // compares. Snapshot: inside a randomly chosen session's view the engine
+  // must agree with the mirror. It runs *before* the index probe so a
+  // dirty-read divergence always attributes to the transaction oracle.
+  bool CheckTxn() {
+    SwitchSession(static_cast<int>(
+        rng_.Below(static_cast<size_t>(options_.gen.txn_sessions))));
+    for (const TableSchema& table : plan_.tables) {
+      SelectStmt fetch;
+      fetch.from_tables = {table.name};
+      StatementResult rows = Exec(fetch);
+      ++stats_.txn_snapshot_checks;
+      if (!Judge(fetch, rows) ||
+          !CompareTable(fetch, rows, Reference::kSnapshot)) {
+        return false;
+      }
+    }
+    return ProbeIndex();
+  }
+
+  // Index probe: an equality lookup on an indexed column. The mirror's
+  // rows must be multiset-contained in the engine's — a stale index entry
+  // left by a rolled-back transaction makes the engine's indexed scan
+  // *miss* rows, while extra rows (a dirty read) never misfire this check.
+  bool ProbeIndex() {
+    if (probe_cols_.empty()) return true;
+    const auto& [probe_table, probe_col] =
+        probe_cols_[rng_.Below(probe_cols_.size())];
+    const Rows* committed_rows = replay_->TableRows(probe_table);
+    const TableSchema* schema = nullptr;
+    size_t col_index = 0;
+    for (const TableSchema& table : plan_.tables) {
+      if (table.name != probe_table) continue;
+      schema = &table;
+      for (size_t c = 0; c < table.columns.size(); ++c) {
+        if (table.columns[c].name == probe_col) col_index = c;
+      }
+    }
+    if (schema == nullptr || committed_rows == nullptr ||
+        committed_rows->empty()) {
+      return true;
+    }
+    const auto& sample = (*committed_rows)[rng_.Below(committed_rows->size())];
+    if (col_index >= sample.size()) return true;
+    SelectStmt probe;
+    probe.from_tables = {probe_table};
+    probe.where =
+        MakeBinary(BinaryOp::kEq, MakeColumnRef(probe_table, probe_col),
+                   MakeLiteral(sample[col_index]));
+    StatementResult engine_rows = Exec(probe);
+    if (!Judge(probe, engine_rows)) return false;
+    StatementResult mirror_rows = ExecModel(probe);
+    std::vector<SqlValue> missing;
+    if (!mirror_rows.ok() ||
+        RowsMultisetContained(mirror_rows.rows, engine_rows.rows, &missing)) {
+      return true;
+    }
+    return Fail(OracleKind::kContainment, Replay(&probe),
+                "indexed lookup on " + probe_table + "." + probe_col +
+                    " dropped committed row(s): engine returned " +
+                    std::to_string(engine_rows.rows.size()) +
+                    " row(s), ground-truth replay " +
+                    std::to_string(mirror_rows.rows.size()),
+                std::move(missing));
+  }
+
+  const RunnerOptions& options_;
+  DbRunResult out_;
+  RunStats& stats_ = out_.stats;
+  Rng rng_;
+  ConnectionPtr conn_;
+  Dialect dialect_;
+  Generator generator_;
+  DatabasePlan plan_;
+  minidb::Database model_;  // the mirror in K-session runs
+  std::unique_ptr<minidb::Database> replay_;  // K-session runs only
+  ActionScheduler scheduler_;
+  size_t setup_done_ = 0;      // setup statements executed so far
+  std::vector<StmtPtr> log_;   // stream statements executed since setup
+  // Key columns of setup indexes, for the index probe (K-session runs).
+  std::vector<std::pair<std::string, std::string>> probe_cols_;
+  std::vector<SessionTxn> session_txns_;
+  int current_session_ = 0;
+};
+
+// Telemetry wrapper around one session: installs a fresh per-session
+// telemetry context (registry + flight ring) for the duration of the
+// session and harvests the registry into the result. Engine internals
+// emit into this session's registry and flight ring. When the kill switch
+// is off, installation leaves the thread-local slot null and every emit in
+// the session is a single predictable branch.
 DbRunResult RunOneDatabase(const WorkerEngineFactory& factory, int worker,
                            const RunnerOptions& options, uint64_t db_seed) {
-  obs::SessionTelemetry session;
+  obs::SessionTelemetry telemetry;
   DbRunResult out;
   {
-    obs::ScopedSessionTelemetry install(&session);
-    out = RunOneDatabaseImpl(factory, worker, options, db_seed);
+    obs::ScopedSessionTelemetry install(&telemetry);
+    ConnectionPtr conn = factory(worker);
+    if (conn == nullptr) {
+      out.factory_failed = true;
+    } else {
+      out = Session(options, db_seed, std::move(conn)).Run();
+    }
   }
-  session.metrics.GaugeMax(obs::Gauge::kMaxFlightEvents,
-                           session.recorder.total_emitted());
-  out.metrics = session.metrics;
+  telemetry.metrics.GaugeMax(obs::Gauge::kMaxFlightEvents,
+                             telemetry.recorder.total_emitted());
+  out.metrics = telemetry.metrics;
   return out;
 }
 

@@ -317,30 +317,21 @@ std::string MeasureSqliteStmtCache() {
 
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t meta_hits = 0;
-  uint64_t meta_misses = 0;
   auto measure = [&](bool cache_on, OracleFamily family) {
-    EngineFactory factory = [cache_on, &hits, &misses, &meta_hits,
-                             &meta_misses]() -> ConnectionPtr {
+    EngineFactory factory = [cache_on, &hits, &misses]() -> ConnectionPtr {
       struct Tracked : SqliteConnection {
-        explicit Tracked(bool on, uint64_t* h, uint64_t* m, uint64_t* mh,
-                         uint64_t* mm)
-            : hits(h), misses(m), mhits(mh), mmisses(mm) {
+        explicit Tracked(bool on, uint64_t* h, uint64_t* m)
+            : hits(h), misses(m) {
           set_statement_cache(on);
         }
         ~Tracked() override {
           *hits += statement_cache_hits();
           *misses += statement_cache_misses();
-          *mhits += meta_statement_cache_hits();
-          *mmisses += meta_statement_cache_misses();
         }
         uint64_t* hits;
         uint64_t* misses;
-        uint64_t* mhits;
-        uint64_t* mmisses;
       };
-      return std::make_unique<Tracked>(cache_on, &hits, &misses, &meta_hits,
-                                       &meta_misses);
+      return std::make_unique<Tracked>(cache_on, &hits, &misses);
     };
     double best = 1e30;
     RunnerOptions family_opts = opts;
@@ -350,8 +341,6 @@ std::string MeasureSqliteStmtCache() {
       // leaves one rep's tallies, matching the best-of-3 seconds' scope.
       hits = 0;
       misses = 0;
-      meta_hits = 0;
-      meta_misses = 0;
       PqsRunner runner(factory, family_opts);
       auto start = std::chrono::steady_clock::now();
       RunReport report = runner.Run();
@@ -371,9 +360,8 @@ std::string MeasureSqliteStmtCache() {
 
   // Metamorphic rewrite reuse: the same workload TLP-driven. The rewritten
   // partition texts vary per check (fresh predicates), but the cache must
-  // keep absorbing the repeated probe SELECTs around them; the meta subset
-  // counters show how much of the rewrite stream itself revisits.
-  double meta_seconds = measure(true, OracleFamily::kTlp);
+  // keep absorbing the repeated probe SELECTs around them.
+  double tlp_seconds = measure(true, OracleFamily::kTlp);
 
   bench::PrintHeader("SqliteConnection statement cache (pivot-probe reuse)");
   printf("  uncached: %.4fs   cached: %.4fs   speedup: %.2fx   "
@@ -381,10 +369,7 @@ std::string MeasureSqliteStmtCache() {
          uncached, cached, speedup,
          static_cast<unsigned long long>(pivot_hits),
          static_cast<unsigned long long>(pivot_misses));
-  printf("  tlp workload: %.4fs   meta rewrites: %llu hits / %llu misses   "
-         "(totals: %llu / %llu)\n",
-         meta_seconds, static_cast<unsigned long long>(meta_hits),
-         static_cast<unsigned long long>(meta_misses),
+  printf("  tlp workload: %.4fs   %llu hits / %llu misses\n", tlp_seconds,
          static_cast<unsigned long long>(hits),
          static_cast<unsigned long long>(misses));
 
@@ -394,15 +379,12 @@ std::string MeasureSqliteStmtCache() {
                 "\"seconds_uncached\": %.6f, \"seconds_cached\": %.6f, "
                 "\"speedup\": %.3f, \"hits\": %llu, \"misses\": %llu, "
                 "\"tlp_seconds\": %.6f, \"tlp_hits\": %llu, "
-                "\"tlp_misses\": %llu, \"tlp_meta_hits\": %llu, "
-                "\"tlp_meta_misses\": %llu},\n",
+                "\"tlp_misses\": %llu},\n",
                 uncached, cached, speedup,
                 static_cast<unsigned long long>(pivot_hits),
-                static_cast<unsigned long long>(pivot_misses), meta_seconds,
+                static_cast<unsigned long long>(pivot_misses), tlp_seconds,
                 static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses),
-                static_cast<unsigned long long>(meta_hits),
-                static_cast<unsigned long long>(meta_misses));
+                static_cast<unsigned long long>(misses));
   return buf;
 }
 

@@ -120,11 +120,6 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
   // rewrite families (same shape, fresh literals every check) and the
   // pivot probes all collapse onto a handful of prepared statements.
   bool cacheable = cache_enabled_ && stmt.kind() == StmtKind::kSelect;
-  // Metamorphic rewrites are tallied separately (as a subset of the
-  // totals) so the bench can tell whether the NoREC/TLP rewrite texts
-  // revisit the cache or churn it.
-  bool meta = stmt.kind() == StmtKind::kSelect &&
-              static_cast<const SelectStmt&>(stmt).meta_rewrite;
   sql_buf_.clear();
   param_buf_.clear();
   {
@@ -155,7 +150,6 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
       in_cache = true;
       ++cache_hits_;
       obs::Count(obs::Counter::kStmtCacheHits);
-      if (meta) ++meta_cache_hits_;
       break;
     }
   }
@@ -171,7 +165,6 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
     if (cacheable) {
       ++cache_misses_;
       obs::Count(obs::Counter::kStmtCacheMisses);
-      if (meta) ++meta_cache_misses_;
       cache_.insert(cache_.begin(), CachedStmt{sql_buf_, prepared});
       // 32 slots: the pivot-probe SELECTs plus the NoREC/TLP rewrite
       // working set (up to four templates per TLP check) fit without

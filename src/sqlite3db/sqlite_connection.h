@@ -48,13 +48,6 @@ class SqliteConnection : public Connection {
   void set_statement_cache(bool enabled);
   uint64_t statement_cache_hits() const { return cache_hits_; }
   uint64_t statement_cache_misses() const { return cache_misses_; }
-  // Subset tallies for metamorphic rewrites (SelectStmt::meta_rewrite —
-  // NoREC's two queries and TLP's partitions): the NoREC/TLP loops re-issue
-  // the same rewritten texts across checks, so these show whether the cache
-  // capacity holds the rewrite working set too (bench_throughput reports
-  // them alongside the totals).
-  uint64_t meta_statement_cache_hits() const { return meta_cache_hits_; }
-  uint64_t meta_statement_cache_misses() const { return meta_cache_misses_; }
 
   // libsqlite3 version string, or "unavailable" in a sqlite3-less build.
   static std::string LibraryVersion();
@@ -73,8 +66,6 @@ class SqliteConnection : public Connection {
   bool cache_enabled_ = true;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
-  uint64_t meta_cache_hits_ = 0;
-  uint64_t meta_cache_misses_ = 0;
   // Small MRU list (front = most recent); linear scan beats hashing at
   // this size, and the PQS workload repeats only a handful of SELECT
   // templates.

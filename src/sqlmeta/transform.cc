@@ -25,7 +25,6 @@ std::unique_ptr<SelectStmt> NorecOptimized(const std::string& table,
   q->select_list.push_back(MakeCountStar());
   q->from_tables.push_back(table);
   q->where = predicate.Clone();
-  q->meta_rewrite = true;
   return q;
 }
 
@@ -34,7 +33,6 @@ std::unique_ptr<SelectStmt> NorecUnoptimized(const std::string& table,
   auto q = std::make_unique<SelectStmt>();
   q->select_list.push_back(predicate.Clone());
   q->from_tables.push_back(table);
-  q->meta_rewrite = true;
   return q;
 }
 
@@ -86,7 +84,6 @@ bool BuildTlpPlan(const SelectStmt& query, const Expr& predicate,
       auto part = std::unique_ptr<SelectStmt>(
           static_cast<SelectStmt*>(query.Clone().release()));
       part->where = AndWhere(query.where, std::move(p));
-      part->meta_rewrite = true;
       plan->partitions.push_back(std::move(part));
     }
     return true;
@@ -111,7 +108,6 @@ bool BuildTlpPlan(const SelectStmt& query, const Expr& predicate,
       part->select_list.push_back(query.select_list[0]->args[0]->Clone());
       part->from_tables = query.from_tables;
       part->where = AndWhere(query.where, std::move(p));
-      part->meta_rewrite = true;
       plan->partitions.push_back(std::move(part));
     }
     return true;
@@ -179,7 +175,6 @@ bool BuildTlpPlan(const SelectStmt& query, const Expr& predicate,
       }
     }
     part->where = AndWhere(query.where, std::move(p));
-    part->meta_rewrite = true;
     plan->partitions.push_back(std::move(part));
   }
   return true;

@@ -130,8 +130,6 @@ void TestNorecTransformUnits() {
   auto optimized = sqlmeta::NorecOptimized("t0", *pred);
   auto unoptimized = sqlmeta::NorecUnoptimized("t0", *pred);
 
-  CHECK(optimized->meta_rewrite);
-  CHECK(unoptimized->meta_rewrite);
   CHECK(optimized->HasAggregates());
   CHECK(optimized->where != nullptr);
   CHECK(!unoptimized->HasAggregates());
@@ -186,7 +184,6 @@ void TestTlpPlanShapes() {
     CHECK(plan.shape == sqlmeta::TlpShape::kRows);
     CHECK_EQ(plan.partitions.size(), static_cast<size_t>(3));
     for (const auto& p : plan.partitions) {
-      CHECK(p->meta_rewrite);
       CHECK(p->where != nullptr);
     }
     CHECK_EQ(std::string(sqlmeta::TlpShapeName(plan.shape)),

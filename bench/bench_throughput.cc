@@ -456,9 +456,9 @@ std::string MeasureTelemetryOverhead() {
 }
 
 // Transaction-mix sweep (DESIGN §14): the interleaved K-session MVCC
-// branch on a clean engine, K ∈ {2, 3, 4}. Every statement here pays for
+// stream on a clean engine, K ∈ {2, 3, 4}. Every statement here pays for
 // version-chain bookkeeping, the mirror replay, and the serial-replay
-// oracle, so this rate tracks the transaction branch's end-to-end cost the
+// oracle, so this rate tracks the transaction checks' end-to-end cost the
 // way the worker sweep tracks the autocommit loop's. The commit/conflict
 // tallies land in the JSON so check_perf_smoke.py can assert the workload
 // actually transacted.

@@ -107,9 +107,9 @@ struct GeneratorOptions {
 
   // --- Interleaved transaction sessions (MVCC campaigns — DESIGN §14). --
   // Number of logical sessions the scheduler interleaves. 1 (the default)
-  // keeps the classic autocommit stream; above 1 the runner switches to
-  // the transaction branch: BEGIN/COMMIT/ROLLBACK streams over K sessions
-  // with snapshot-isolation checks and the serial-replay oracle.
+  // keeps the classic autocommit stream; above 1 the runner's session
+  // draws BEGIN/COMMIT/ROLLBACK streams over K sessions and runs the
+  // transaction checks (snapshot isolation, the serial-replay oracle).
   int txn_sessions = 1;
   // Probability an idle session opens a transaction rather than issuing
   // one autocommit DML statement.

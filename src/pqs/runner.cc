@@ -207,10 +207,12 @@ enum class Reference {
 // `queries_per_database` query steps. Each step is Mutate (the scheduler's
 // statement stream) followed by one check unit: containment, NoREC/TLP, or
 // the transaction checks when `gen.txn_sessions > 1`. Whichever unit
-// issues it, every engine statement goes through Exec and Judge, every
-// finding through Fail, and every engine-vs-reference table comparison
-// through CompareTable. A finding or an unsupported engine ends the
-// session: every step returns false then.
+// issues it, every engine statement goes through Exec and its answer
+// through Judge (except a session switch, see SwitchSession; the NoREC/TLP
+// queries run inside src/sqlmeta, which classifies their answers itself),
+// every finding through Fail, and every engine-vs-reference table
+// comparison through CompareTable. A finding or an unsupported engine
+// ends the session: every step returns false then.
 //
 // Ground truth: `model_` — the reference implementation of the shared
 // interp core — executes every setup and stream statement alongside the

@@ -72,10 +72,6 @@ struct RunStats {
   uint64_t predicate_depth_buckets[kDepthBuckets] = {0, 0, 0, 0, 0};
   uint64_t predicates_with_function = 0;
   uint64_t function_calls_generated = 0;
-  // Statement-stream tallies (DESIGN §9): mutation statements the
-  // ActionScheduler issued between pivot checks, and how many ground-truth
-  // state comparisons (engine table vs model table, as multisets) the
-  // pivot-selection phase performed.
   // Metamorphic-oracle tallies: completed NoREC / TLP checks, the TLP
   // partition queries those checks executed, and how many checked queries
   // carried aggregates / GROUP BY / HAVING. Merged like every other
@@ -86,6 +82,10 @@ struct RunStats {
   uint64_t aggregate_queries = 0;
   uint64_t group_by_queries = 0;
   uint64_t having_queries = 0;
+  // Statement-stream tallies (DESIGN §9): mutation statements the
+  // ActionScheduler issued between checks, and how many ground-truth
+  // state comparisons (engine table vs model table, as multisets) the
+  // containment and NoREC/TLP checks performed.
   uint64_t actions_insert = 0;
   uint64_t actions_update = 0;
   uint64_t actions_delete = 0;

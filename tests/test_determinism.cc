@@ -342,11 +342,12 @@ void TestTelemetryOnOffSameReport() {
   }
 }
 
-// Transaction workloads (gen.txn_sessions > 1 routes the runner into the
-// interleaved K-session branch, DESIGN §14) obey the same sharding
-// contract: an N-worker run merges byte-identically to the sequential one,
-// the transaction counters included, and every finding's flight ring
-// carries the transaction lifecycle events of the session that found it.
+// Transaction workloads (gen.txn_sessions > 1 runs the interleaved
+// K-session stream and the transaction checks, DESIGN §14) obey the same
+// sharding contract: an N-worker run merges byte-identically to the
+// sequential one, the transaction counters included, and every finding's
+// flight ring carries the transaction lifecycle events of the session
+// that found it.
 void TestShardedTxnWorkloadMatchesSequential() {
   auto run = [](int workers, bool stop_on_first) {
     RunnerOptions options;

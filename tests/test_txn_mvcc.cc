@@ -610,7 +610,7 @@ void TestSeededInterleavingReplayIdentity() {
   CHECK(!one.findings.empty());
 }
 
-// Findings from the transaction branch carry flight-recorder provenance
+// Findings of K-session runs carry flight-recorder provenance
 // with the transaction lifecycle events in it.
 void TestFlightRecorderCarriesTxnEvents() {
   RunnerOptions options = TxnRunnerOptions(777, 3, 40, 1);

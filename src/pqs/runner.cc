@@ -392,6 +392,7 @@ class Session {
     const Rows* expected = nullptr;
     if (reference == Reference::kModel) {
       expected = model_.TableRows(table);
+      ++stats_.state_compares;
     } else if (reference == Reference::kSerialReplay) {
       expected = replay_->TableRows(table);
     }
@@ -433,15 +434,23 @@ class Session {
                 std::move(lost));
   }
 
-  // SELECT * of `table` on the engine, judged and then compared with the
-  // model (the ground-truth state comparison, DESIGN §9).
-  bool FetchTable(const std::string& table, StatementResult* rows) {
+  // SELECT * of `table` on the engine, judged and then compared with
+  // `reference`.
+  bool FetchTable(const std::string& table, Reference reference,
+                  StatementResult* rows) {
     SelectStmt fetch;
     fetch.from_tables = {table};
     *rows = Exec(fetch);
-    if (!Judge(fetch, *rows)) return false;
-    ++stats_.state_compares;
-    return CompareTable(fetch, *rows, Reference::kModel);
+    if (reference == Reference::kSnapshot) ++stats_.txn_snapshot_checks;
+    return Judge(fetch, *rows) && CompareTable(fetch, *rows, reference);
+  }
+
+  bool FetchTables(Reference reference) {
+    StatementResult rows;
+    for (const TableSchema& table : plan_.tables) {
+      if (!FetchTable(table.name, reference, &rows)) return false;
+    }
+    return true;
   }
 
   // Typed-expression stats: generated-predicate depth histogram and
@@ -582,16 +591,7 @@ class Session {
   // the serial replay of the committed transactions.
   bool CommittedStateMatches() {
     ++stats_.txn_serial_replays;
-    for (const TableSchema& table : plan_.tables) {
-      SelectStmt fetch;
-      fetch.from_tables = {table.name};
-      StatementResult rows = Exec(fetch);
-      if (!Judge(fetch, rows) ||
-          !CompareTable(fetch, rows, Reference::kSerialReplay)) {
-        return false;
-      }
-    }
-    return true;
+    return FetchTables(Reference::kSerialReplay);
   }
 
   // --- Check units. ----------------------------------------------------
@@ -627,7 +627,7 @@ class Session {
     std::vector<Rows> table_rows;
     for (const TableSchema* table : from) {
       StatementResult rows;
-      if (!FetchTable(table->name, &rows)) return false;
+      if (!FetchTable(table->name, Reference::kModel, &rows)) return false;
       if (rows.rows.empty()) {
         ++stats_.queries_skipped;  // empty after rejections or deletes
         return true;
@@ -805,7 +805,7 @@ class Session {
     bool norec = options_.family == OracleFamily::kNorec;
     const TableSchema& table = plan_.tables[rng_.Below(plan_.tables.size())];
     StatementResult rows;
-    if (!FetchTable(table.name, &rows)) return false;
+    if (!FetchTable(table.name, Reference::kModel, &rows)) return false;
 
     std::vector<const TableSchema*> single{&table};
     ExprPtr predicate;
@@ -889,17 +889,7 @@ class Session {
   bool CheckTxn() {
     SwitchSession(static_cast<int>(
         rng_.Below(static_cast<size_t>(options_.gen.txn_sessions))));
-    for (const TableSchema& table : plan_.tables) {
-      SelectStmt fetch;
-      fetch.from_tables = {table.name};
-      StatementResult rows = Exec(fetch);
-      ++stats_.txn_snapshot_checks;
-      if (!Judge(fetch, rows) ||
-          !CompareTable(fetch, rows, Reference::kSnapshot)) {
-        return false;
-      }
-    }
-    return ProbeIndex();
+    return FetchTables(Reference::kSnapshot) && ProbeIndex();
   }
 
   // Index probe: an equality lookup on an indexed column. The mirror's

@@ -300,94 +300,6 @@ std::string MeasureScanRows() {
   return json;
 }
 
-// Satellite: measure the SqliteConnection prepared-statement cache on the
-// repeated pivot-probe pattern (the runner re-issues `SELECT * FROM tN`
-// before every generated query, and reduction-style replays repeat whole
-// statement prefixes). Same seeded workload with the cache off vs on; the
-// speedup and hit counts go into BENCH_throughput.json.
-std::string MeasureSqliteStmtCache() {
-  if (!SqliteConnection::Available()) {
-    printf("\n(real sqlite3 unavailable; statement-cache bench skipped)\n");
-    return "  \"sqlite_stmt_cache\": {\"available\": false},\n";
-  }
-  RunnerOptions opts;
-  opts.seed = 20200604;
-  opts.databases = 48;
-  opts.queries_per_database = 25;
-
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  auto measure = [&](bool cache_on, OracleFamily family) {
-    EngineFactory factory = [cache_on, &hits, &misses]() -> ConnectionPtr {
-      struct Tracked : SqliteConnection {
-        explicit Tracked(bool on, uint64_t* h, uint64_t* m)
-            : hits(h), misses(m) {
-          set_statement_cache(on);
-        }
-        ~Tracked() override {
-          *hits += statement_cache_hits();
-          *misses += statement_cache_misses();
-        }
-        uint64_t* hits;
-        uint64_t* misses;
-      };
-      return std::make_unique<Tracked>(cache_on, &hits, &misses);
-    };
-    double best = 1e30;
-    RunnerOptions family_opts = opts;
-    family_opts.family = family;
-    for (int rep = 0; rep < 3; ++rep) {
-      // Counts are identical every rep (seeded workload); resetting here
-      // leaves one rep's tallies, matching the best-of-3 seconds' scope.
-      hits = 0;
-      misses = 0;
-      PqsRunner runner(factory, family_opts);
-      auto start = std::chrono::steady_clock::now();
-      RunReport report = runner.Run();
-      std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      (void)report;
-      if (elapsed.count() < best) best = elapsed.count();
-    }
-    return best;
-  };
-
-  double uncached = measure(false, OracleFamily::kContainment);
-  double cached = measure(true, OracleFamily::kContainment);
-  double speedup = cached > 0 ? uncached / cached : 0.0;
-  uint64_t pivot_hits = hits;
-  uint64_t pivot_misses = misses;
-
-  // Metamorphic rewrite reuse: the same workload TLP-driven. The rewritten
-  // partition texts vary per check (fresh predicates), but the cache must
-  // keep absorbing the repeated probe SELECTs around them.
-  double tlp_seconds = measure(true, OracleFamily::kTlp);
-
-  bench::PrintHeader("SqliteConnection statement cache (pivot-probe reuse)");
-  printf("  uncached: %.4fs   cached: %.4fs   speedup: %.2fx   "
-         "(%llu hits / %llu misses)\n",
-         uncached, cached, speedup,
-         static_cast<unsigned long long>(pivot_hits),
-         static_cast<unsigned long long>(pivot_misses));
-  printf("  tlp workload: %.4fs   %llu hits / %llu misses\n", tlp_seconds,
-         static_cast<unsigned long long>(hits),
-         static_cast<unsigned long long>(misses));
-
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "  \"sqlite_stmt_cache\": {\"available\": true, "
-                "\"seconds_uncached\": %.6f, \"seconds_cached\": %.6f, "
-                "\"speedup\": %.3f, \"hits\": %llu, \"misses\": %llu, "
-                "\"tlp_seconds\": %.6f, \"tlp_hits\": %llu, "
-                "\"tlp_misses\": %llu},\n",
-                uncached, cached, speedup,
-                static_cast<unsigned long long>(pivot_hits),
-                static_cast<unsigned long long>(pivot_misses), tlp_seconds,
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses));
-  return buf;
-}
-
 // One telemetry-instrumented run of the sweep workload with wall-clock
 // spans enabled, exported as the "telemetry" section. The logical-clock
 // histograms ("phase_profile") are deterministic — byte-identical across
@@ -657,7 +569,6 @@ int main(int argc, char** argv) {
   if (max_workers < 1) max_workers = 1;
 
   pqs::RunWorkerSweep(max_workers, pqs::MeasureScanRows() +
-                                       pqs::MeasureSqliteStmtCache() +
                                        pqs::MeasureZipfWorkload() +
                                        pqs::MeasureTxnWorkload() +
                                        pqs::MeasurePhaseProfile() +

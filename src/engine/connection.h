@@ -90,6 +90,12 @@ class Connection {
 
 using ConnectionPtr = std::unique_ptr<Connection>;
 
+// One engine call of the PQS loop: `conn.Execute(stmt)` inside an
+// obs::Phase::kEngineExecute span, counted by obs::CountStatement. The
+// runner's sessions and the sqlmeta oracles issue every engine statement
+// through here, so the statement tallies and the flight ring see them all.
+StatementResult ExecuteCounted(Connection& conn, const Stmt& stmt);
+
 // Factory producing a fresh, empty database. The runner creates one
 // connection per generated database state, so factories must be cheap and
 // must not share mutable state between the connections they produce.

@@ -46,16 +46,6 @@ bool IsNumericAffinity(Affinity a) {
 }  // namespace
 
 std::string GeneratorOptions::Validate() const {
-  auto check_count = [](const char* name, int v) -> std::string {
-    if (v < 0) return std::string(name) + " must be non-negative";
-    return "";
-  };
-  auto check_prob = [](const char* name, double p) -> std::string {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return std::string(name) + " must be within [0, 1]";
-    }
-    return "";
-  };
   const std::pair<const char*, int> counts[] = {
       {"min_rows", min_rows},
       {"max_rows", max_rows},
@@ -63,10 +53,10 @@ std::string GeneratorOptions::Validate() const {
       {"max_columns", max_columns},
       {"max_predicate_depth", max_predicate_depth},
       {"max_order_keys", max_order_keys},
+      {"max_actions_per_check", max_actions_per_check},
   };
   for (const auto& [name, v] : counts) {
-    std::string err = check_count(name, v);
-    if (!err.empty()) return err;
+    if (v < 0) return std::string(name) + " must be non-negative";
   }
   if (min_rows > max_rows) return "min_rows must not exceed max_rows";
   const std::pair<const char*, double> probs[] = {
@@ -91,10 +81,15 @@ std::string GeneratorOptions::Validate() const {
       {"count_distinct_probability", count_distinct_probability},
       {"group_by_probability", group_by_probability},
       {"having_probability", having_probability},
+      {"partial_probe_probability", partial_probe_probability},
+      {"txn_begin_probability", txn_begin_probability},
+      {"txn_commit_probability", txn_commit_probability},
+      {"txn_rollback_probability", txn_rollback_probability},
   };
   for (const auto& [name, p] : probs) {
-    std::string err = check_prob(name, p);
-    if (!err.empty()) return err;
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return std::string(name) + " must be within [0, 1]";
+    }
   }
   const std::pair<const char*, double> weights[] = {
       {"pivot_check_weight", pivot_check_weight},
@@ -111,22 +106,8 @@ std::string GeneratorOptions::Validate() const {
   if (!(pivot_check_weight > 0.0)) {
     return "pivot_check_weight must be positive";
   }
-  std::string err = check_count("max_actions_per_check",
-                                max_actions_per_check);
-  if (!err.empty()) return err;
-  err = check_prob("partial_probe_probability", partial_probe_probability);
-  if (!err.empty()) return err;
   if (txn_sessions < 1 || txn_sessions > 8) {
     return "txn_sessions must be within [1, 8]";
-  }
-  const std::pair<const char*, double> txn_probs[] = {
-      {"txn_begin_probability", txn_begin_probability},
-      {"txn_commit_probability", txn_commit_probability},
-      {"txn_rollback_probability", txn_rollback_probability},
-  };
-  for (const auto& [name, p] : txn_probs) {
-    err = check_prob(name, p);
-    if (!err.empty()) return err;
   }
   if (txn_commit_probability + txn_rollback_probability > 1.0) {
     return "txn_commit_probability + txn_rollback_probability must not "

@@ -25,8 +25,6 @@ bool ReplaySetup(Connection* conn, const std::vector<StmtPtr>& statements) {
   for (size_t i = 0; i + 1 < statements.size(); ++i) {
     if (statements[i] == nullptr) continue;
     StatementResult r = conn->Execute(*statements[i]);
-    obs::CountStatement(static_cast<uint32_t>(statements[i]->kind()),
-                        !r.ok());
     if (r.status == StatementStatus::kCrash ||
         r.status == StatementStatus::kUnsupported) {
       return false;
@@ -68,58 +66,41 @@ class ProbeEngines {
   ConnectionPtr reference_conn_;
 };
 
+// True while the candidate still shows the finding: the buggy engine's
+// answer to the last statement triggers `oracle` and a clean reference
+// engine replaying the same statements disagrees. BEGIN/COMMIT/ROLLBACK
+// statements a ddmin chunk removes merely reshape a transaction schedule;
+// the final differential decides whether the shrunken one still
+// reproduces. Without a reference engine nothing reproduces, so the
+// finding is kept unreduced, never wrongly shrunk.
 bool Reproduces(ProbeEngines& engines,
-                const std::vector<StmtPtr>& statements, OracleKind oracle,
-                const std::vector<SqlValue>& pivot) {
+                const std::vector<StmtPtr>& statements, OracleKind oracle) {
   if (statements.empty() || statements.back() == nullptr) return false;
   Connection* buggy_conn = engines.FreshBuggy();
-  if (buggy_conn == nullptr) return false;
-  if (!ReplaySetup(buggy_conn, statements)) return false;
-  StatementResult buggy_result = buggy_conn->Execute(*statements.back());
-
-  StatementResult reference_result;
-  bool have_reference = false;
-  Connection* ref_conn = engines.FreshReference();
-  if (ref_conn != nullptr && ReplaySetup(ref_conn, statements)) {
-    reference_result = ref_conn->Execute(*statements.back());
-    have_reference = true;
+  if (buggy_conn == nullptr || !ReplaySetup(buggy_conn, statements)) {
+    return false;
   }
+  StatementResult buggy_result = buggy_conn->Execute(*statements.back());
+  Connection* ref_conn = engines.FreshReference();
+  if (ref_conn == nullptr || !ReplaySetup(ref_conn, statements)) return false;
+  StatementResult reference_result = ref_conn->Execute(*statements.back());
 
   switch (oracle) {
     case OracleKind::kCrash:
-      if (buggy_result.status != StatementStatus::kCrash) return false;
-      return !have_reference ||
+      return buggy_result.status == StatementStatus::kCrash &&
              reference_result.status != StatementStatus::kCrash;
     case OracleKind::kError:
-      if (buggy_result.status != StatementStatus::kError &&
-          buggy_result.status != StatementStatus::kConstraintViolation) {
-        return false;
-      }
-      return !have_reference || reference_result.ok();
+      return (buggy_result.status == StatementStatus::kError ||
+              buggy_result.status ==
+                  StatementStatus::kConstraintViolation) &&
+             reference_result.ok();
     case OracleKind::kContainment:
-      if (!buggy_result.ok()) return false;
-      if (have_reference) {
-        return reference_result.ok() &&
-               !SameResultRows(buggy_result, reference_result);
-      }
-      // Pivot-based fallback when no reference engine is available.
-      return !pivot.empty() && !ResultContainsRow(buggy_result, pivot);
     case OracleKind::kNorec:
     case OracleKind::kTlp:
     case OracleKind::kTxnSerial:
-      // Transaction findings reduce differentially, like the metamorphic
-      // oracles: the decisive SELECT (snapshot or committed-state fetch)
-      // must still disagree with a clean engine replaying the same
-      // interleaved stream. BEGIN/COMMIT/ROLLBACK statements removed by a
-      // ddmin chunk merely reshape the schedule — the final differential
-      // decides whether the shrunken schedule still reproduces.
-      // Metamorphic findings reduce differentially: the decisive (last)
-      // transformed query must still disagree with the reference engine.
-      // Without a reference — or when the disagreement sat in an earlier
-      // transformed query — nothing reproduces and the finding is kept
-      // unreduced, never wrongly shrunk.
-      if (!buggy_result.ok()) return false;
-      return have_reference && reference_result.ok() &&
+      // The metamorphic findings reproduce only when the disagreement
+      // sits in the decisive (last) transformed query.
+      return buggy_result.ok() && reference_result.ok() &&
              !SameResultRows(buggy_result, reference_result);
   }
   return false;
@@ -165,8 +146,7 @@ std::vector<StmtPtr> CloneStatements(const std::vector<StmtPtr>& statements) {
 bool FindingReproduces(const EngineFactory& buggy, const Finding& finding,
                        const EngineFactory* reference) {
   ProbeEngines engines(buggy, reference);
-  return Reproduces(engines, finding.statements, finding.oracle,
-                    finding.pivot);
+  return Reproduces(engines, finding.statements, finding.oracle);
 }
 
 Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
@@ -190,7 +170,7 @@ Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
   ProbeEngines engines(buggy, reference);
 
   std::vector<StmtPtr> current = NormalizeStatements(finding.statements);
-  if (!Reproduces(engines, current, finding.oracle, finding.pivot)) {
+  if (!Reproduces(engines, current, finding.oracle)) {
     // Normalization (or the finding itself) does not replay; return the
     // original statements untouched.
     out.statements = CloneStatements(finding.statements);
@@ -216,7 +196,7 @@ Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
           if (i >= start && i < end) continue;
           candidate.push_back(current[i]->Clone());
         }
-        if (Reproduces(engines, candidate, finding.oracle, finding.pivot)) {
+        if (Reproduces(engines, candidate, finding.oracle)) {
           current = std::move(candidate);
           progress = true;
           // Keep `start` in place: later statements shifted left into it.

@@ -208,11 +208,10 @@ enum class Reference {
 // statement stream) followed by one check unit: containment, NoREC/TLP, or
 // the transaction checks when `gen.txn_sessions > 1`. Whichever unit
 // issues it, every engine statement goes through Exec and its answer
-// through Judge (except a session switch, see SwitchSession; the NoREC/TLP
-// queries run inside src/sqlmeta, which classifies their answers itself),
-// every finding through Fail, and every engine-vs-reference table
-// comparison through CompareTable. A finding or an unsupported engine
-// ends the session: every step returns false then.
+// through Judge (the NoREC/TLP queries run inside src/sqlmeta, which
+// classifies their answers itself), every finding through Fail, and every
+// engine-vs-reference table comparison through CompareTable. A finding or
+// an unsupported engine ends the session: every step returns false then.
 //
 // Ground truth: `model_` — the reference implementation of the shared
 // interp core — executes every setup and stream statement alongside the
@@ -287,14 +286,8 @@ class Session {
 
   // Runs one statement on the engine under test.
   StatementResult Exec(const Stmt& stmt) {
-    StatementResult result;
-    {
-      obs::ScopedPhase span(obs::Phase::kEngineExecute);
-      result = conn_->Execute(stmt);
-      obs::CountStatement(static_cast<uint32_t>(stmt.kind()), !result.ok());
-    }
     ++stats_.statements_executed;
-    return result;
+    return ExecuteCounted(*conn_, stmt);
   }
 
   StatementResult ExecModel(const Stmt& stmt) {
@@ -499,8 +492,9 @@ class Session {
       return true;
     }
     for (SessionAction& action : scheduler_.NextTxnBatch(&rng_)) {
-      SwitchSession(action.session);
-      if (!Apply(std::move(action.stmt))) return false;
+      if (!SwitchSession(action.session) || !Apply(std::move(action.stmt))) {
+        return false;
+      }
     }
     return true;
   }
@@ -521,16 +515,18 @@ class Session {
   }
 
   // Prefixes a session switch when `session` differs from the last
-  // action's. The switch joins the log so findings replay flat; a switch
-  // the engine refused surfaces on the statement that follows it.
-  void SwitchSession(int session) {
-    if (session == current_session_) return;
+  // action's. The switch joins the log so findings replay flat, and its
+  // answer goes through Judge like any other statement's, so a switch the
+  // engine refused ends the session at the switch itself.
+  bool SwitchSession(int session) {
+    if (session == current_session_) return true;
     auto set = std::make_unique<SetSessionStmt>();
     set->session = session;
-    Exec(*set);
+    StatementResult result = Exec(*set);
     ExecModel(*set);
     current_session_ = session;
     log_.push_back(std::move(set));
+    return Judge(*log_.back(), result);
   }
 
   // Transaction lifecycle of one stream statement the mirror ran in the
@@ -887,9 +883,10 @@ class Session {
   // must agree with the mirror. It runs *before* the index probe so a
   // dirty-read divergence always attributes to the transaction oracle.
   bool CheckTxn() {
-    SwitchSession(static_cast<int>(
-        rng_.Below(static_cast<size_t>(options_.gen.txn_sessions))));
-    return FetchTables(Reference::kSnapshot) && ProbeIndex();
+    int session = static_cast<int>(
+        rng_.Below(static_cast<size_t>(options_.gen.txn_sessions)));
+    return SwitchSession(session) && FetchTables(Reference::kSnapshot) &&
+           ProbeIndex();
   }
 
   // Index probe: an equality lookup on an indexed column. The mirror's

@@ -28,32 +28,11 @@ SqliteConnection::SqliteConnection() {
 }
 
 SqliteConnection::~SqliteConnection() {
-  ClearStatementCache();
   if (db_ != nullptr) sqlite3_close(db_);
-}
-
-void SqliteConnection::ClearStatementCache() {
-  if (!cache_.empty()) {
-    obs::Count(obs::Counter::kCacheInvalidations);
-    obs::Emit(obs::EventKind::kCacheInvalidation,
-              static_cast<uint32_t>(cache_.size()));
-  }
-  for (CachedStmt& entry : cache_) {
-    if (entry.stmt != nullptr) sqlite3_finalize(entry.stmt);
-  }
-  cache_.clear();
-}
-
-void SqliteConnection::set_statement_cache(bool enabled) {
-  cache_enabled_ = enabled;
-  if (!enabled) ClearStatementCache();
 }
 
 bool SqliteConnection::Reset() {
   if (db_ == nullptr) return false;
-  // Cached prepared statements hold the old schema; drop them first so no
-  // statement can observe the teardown below.
-  ClearStatementCache();
   // An aborted session may have left a transaction open. DDL inside a
   // transaction would be rolled back with it, so resolve the transaction
   // before dropping objects.
@@ -108,108 +87,21 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
   // null statement. One real connection is one session, so succeed without
   // touching the engine.
   if (stmt.kind() == StmtKind::kSetSession) return StatementResult::Ok();
-  // No cache invalidation on DDL/DML: sqlite3_prepare_v2 statements
-  // transparently re-prepare themselves when the schema changes
-  // (SQLITE_SCHEMA handling is internal to the v2 interface), and data
-  // changes are always visible to a reset statement. Dropping the cache on
-  // every UPDATE/DELETE/DDL — as an earlier revision did — made the
-  // mutation-heavy workload churn prepares and erased the cache's win.
-  //
-  // SELECTs are cached by *parameterized template*: literals in the filter
-  // positions render as `?` and are bound per execution, so the NoREC/TLP
-  // rewrite families (same shape, fresh literals every check) and the
-  // pivot probes all collapse onto a handful of prepared statements.
-  bool cacheable = cache_enabled_ && stmt.kind() == StmtKind::kSelect;
   sql_buf_.clear();
-  param_buf_.clear();
   {
     // Rendering AST → SQL text happens only on this adapter (MiniDB
     // executes the AST directly), so the kRender phase profiles it here.
     obs::ScopedPhase span(obs::Phase::kRender);
-    if (cacheable) {
-      RenderSelectTemplate(static_cast<const SelectStmt&>(stmt),
-                           Dialect::kSqliteFlex, &sql_buf_, &param_buf_);
-    } else {
-      RenderStmtTo(stmt, Dialect::kSqliteFlex, &sql_buf_);
-    }
+    RenderStmtTo(stmt, Dialect::kSqliteFlex, &sql_buf_);
   }
-
-  // Prepare-once / reset-and-rerun (MRU-ordered; hits move to the front).
   sqlite3_stmt* prepared = nullptr;
-  bool in_cache = false;
-  if (cacheable) {
-    for (size_t i = 0; i < cache_.size(); ++i) {
-      if (cache_[i].sql != sql_buf_) continue;
-      prepared = cache_[i].stmt;
-      sqlite3_reset(prepared);
-      if (i != 0) {
-        CachedStmt hit = std::move(cache_[i]);
-        cache_.erase(cache_.begin() + static_cast<long>(i));
-        cache_.insert(cache_.begin(), std::move(hit));
-      }
-      in_cache = true;
-      ++cache_hits_;
-      obs::Count(obs::Counter::kStmtCacheHits);
-      break;
-    }
+  int prc = sqlite3_prepare_v2(db_, sql_buf_.c_str(), -1, &prepared, nullptr);
+  if (prc != SQLITE_OK) {
+    StatementStatus status = prc == SQLITE_CONSTRAINT
+                                 ? StatementStatus::kConstraintViolation
+                                 : StatementStatus::kError;
+    return StatementResult::Failure(status, sqlite3_errmsg(db_));
   }
-  if (prepared == nullptr) {
-    int prc =
-        sqlite3_prepare_v2(db_, sql_buf_.c_str(), -1, &prepared, nullptr);
-    if (prc != SQLITE_OK) {
-      StatementStatus status = prc == SQLITE_CONSTRAINT
-                                   ? StatementStatus::kConstraintViolation
-                                   : StatementStatus::kError;
-      return StatementResult::Failure(status, sqlite3_errmsg(db_));
-    }
-    if (cacheable) {
-      ++cache_misses_;
-      obs::Count(obs::Counter::kStmtCacheMisses);
-      cache_.insert(cache_.begin(), CachedStmt{sql_buf_, prepared});
-      // 32 slots: the pivot-probe SELECTs plus the NoREC/TLP rewrite
-      // working set (up to four templates per TLP check) fit without
-      // eviction churn; linear MRU scan is still cheap at this size.
-      constexpr size_t kMaxCachedStatements = 32;
-      while (cache_.size() > kMaxCachedStatements) {
-        sqlite3_finalize(cache_.back().stmt);
-        cache_.pop_back();
-      }
-      in_cache = true;
-    }
-  }
-  // Bind the filter literals (placeholder i ← param_buf_[i-1]). TRANSIENT
-  // text: the AST the pointers borrow can die before the cached statement.
-  for (size_t i = 0; i < param_buf_.size(); ++i) {
-    const SqlValue& v = *param_buf_[i];
-    int slot = static_cast<int>(i) + 1;
-    switch (v.cls()) {
-      case StorageClass::kNull:
-        sqlite3_bind_null(prepared, slot);
-        break;
-      case StorageClass::kInteger:
-        sqlite3_bind_int64(prepared, slot, v.i());
-        break;
-      case StorageClass::kReal:
-        sqlite3_bind_double(prepared, slot, v.r());
-        break;
-      case StorageClass::kText: {
-        std::string_view text = v.text();
-        sqlite3_bind_text(prepared, slot, text.data(),
-                          static_cast<int>(text.size()), SQLITE_TRANSIENT);
-        break;
-      }
-    }
-  }
-  // A cached statement is reset (kept prepared) instead of finalized;
-  // bindings are cleared so no stale literal outlives this execution.
-  auto release = [&]() {
-    if (in_cache) {
-      sqlite3_reset(prepared);
-      sqlite3_clear_bindings(prepared);
-    } else {
-      sqlite3_finalize(prepared);
-    }
-  };
   StatementResult result;
   int rc;
   int columns = sqlite3_column_count(prepared);
@@ -244,13 +136,13 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
   if (rc != SQLITE_DONE) {
     int base = rc & 0xff;
     std::string message = sqlite3_errmsg(db_);
-    release();
+    sqlite3_finalize(prepared);
     StatementStatus status = base == SQLITE_CONSTRAINT
                                  ? StatementStatus::kConstraintViolation
                                  : StatementStatus::kError;
     return StatementResult::Failure(status, message);
   }
-  release();
+  sqlite3_finalize(prepared);
   return result;
 }
 
@@ -258,11 +150,6 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
 
 SqliteConnection::SqliteConnection() { alive_ = true; }
 SqliteConnection::~SqliteConnection() = default;
-
-void SqliteConnection::ClearStatementCache() {}
-void SqliteConnection::set_statement_cache(bool enabled) {
-  cache_enabled_ = enabled;
-}
 
 bool SqliteConnection::Reset() { return false; }
 

@@ -1,30 +1,21 @@
 // Real-SQLite adapter: pqs::Connection over an in-memory libsqlite3
 // database.
 //
-// Statements are rendered to SQL text (src/sqlparser) and executed through
-// the prepared-statement API; result values come back as typed SqlValues.
-// SELECTs are prepared once and cached per *parameterized template*
-// (filter literals become `?` and are bound per execution): the PQS loop
-// probes every FROM table with the identical `SELECT * FROM tN` before
-// each query (pivot selection), and the NoREC/TLP rewrite families repeat
-// the same query shapes with fresh literals, so reset-bind-rerun beats
-// re-preparing (the v2 interface transparently re-prepares on schema
-// change, so caching across DDL is safe). When the build has no libsqlite3
-// (PQS_HAVE_SQLITE3 == 0)
-// the class still exists so the benches compile unchanged, but every
-// Execute reports kUnsupported and the runner skips out gracefully.
+// Statements are rendered to SQL text (src/sqlparser), literals inline,
+// and executed one at a time through the prepared-statement API: prepare,
+// step, finalize. Result values come back as typed SqlValues. When the
+// build has no libsqlite3 (PQS_HAVE_SQLITE3 == 0) the class still exists
+// so the benches compile unchanged, but every Execute reports
+// kUnsupported and the runner skips out gracefully.
 #ifndef PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 #define PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/engine/connection.h"
 #include "src/sqlast/ast.h"
 
-struct sqlite3;       // avoid leaking sqlite3.h into every bench TU
-struct sqlite3_stmt;
+struct sqlite3;  // avoid leaking sqlite3.h into every bench TU
 
 namespace pqs {
 
@@ -41,39 +32,19 @@ class SqliteConnection : public Connection {
   std::string EngineName() const override;
   bool alive() const override { return alive_; }
   // In-place reset: rolls back any transaction an aborted session left
-  // open, drops every user object, and clears the statement cache.
+  // open and drops every user object.
   bool Reset() override;
-
-  // Statement-cache controls (bench_throughput measures the cache off/on).
-  void set_statement_cache(bool enabled);
-  uint64_t statement_cache_hits() const { return cache_hits_; }
-  uint64_t statement_cache_misses() const { return cache_misses_; }
 
   // libsqlite3 version string, or "unavailable" in a sqlite3-less build.
   static std::string LibraryVersion();
   static bool Available();
 
  private:
-  struct CachedStmt {
-    std::string sql;
-    sqlite3_stmt* stmt = nullptr;
-  };
-
-  void ClearStatementCache();
-
   sqlite3* db_ = nullptr;
   bool alive_ = true;
-  bool cache_enabled_ = true;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
-  // Small MRU list (front = most recent); linear scan beats hashing at
-  // this size, and the PQS workload repeats only a handful of SELECT
-  // templates.
-  std::vector<CachedStmt> cache_;
-  // Reused render buffers: one SQL text and one bind list per Execute,
-  // recycled across calls so rendering stops allocating per statement.
+  // Reused render buffer, recycled across calls so rendering stops
+  // allocating per statement.
   std::string sql_buf_;
-  std::vector<const SqlValue*> param_buf_;
 };
 
 }  // namespace pqs

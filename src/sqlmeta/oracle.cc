@@ -3,7 +3,6 @@
 #include <string>
 
 #include "src/interp/eval.h"
-#include "src/obs/telemetry.h"
 #include "src/sqlast/ast.h"
 #include "src/sqlvalue/value.h"
 
@@ -18,12 +17,15 @@ MetaVerdict ClassifyStatus(StatementStatus s) {
       return MetaVerdict::kOk;
     case StatementStatus::kConstraintViolation:
     case StatementStatus::kError:
+    case StatementStatus::kTxnConflict:
       return MetaVerdict::kEngineError;
     case StatementStatus::kCrash:
       return MetaVerdict::kEngineCrash;
     case StatementStatus::kUnsupported:
       return MetaVerdict::kUnsupported;
   }
+  // Unreachable: every status has its case above (no default, so -Wswitch
+  // flags a new one); the return only keeps -Wreturn-type quiet.
   return MetaVerdict::kEngineError;
 }
 
@@ -33,12 +35,7 @@ MetaVerdict ClassifyStatus(StatementStatus s) {
 bool Run(Connection& conn, const SelectStmt& q, MetaOutcome* outcome,
          StatementResult* result) {
   outcome->executed.push_back(q.Clone());
-  {
-    obs::ScopedPhase span(obs::Phase::kEngineExecute);
-    *result = conn.Execute(q);
-    obs::CountStatement(static_cast<uint32_t>(StmtKind::kSelect),
-                        !result->ok());
-  }
+  *result = ExecuteCounted(conn, q);
   if (result->ok()) return true;
   outcome->verdict = ClassifyStatus(result->status);
   outcome->message = result->error;

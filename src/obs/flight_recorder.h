@@ -79,10 +79,6 @@ class FlightRecorder {
 
   size_t capacity() const { return capacity_; }
   uint64_t total_emitted() const { return next_; }
-  void Clear() {
-    ring_.clear();
-    next_ = 0;
-  }
 
  private:
   size_t capacity_;

@@ -1,11 +1,17 @@
 // Metrics registry: named counters, gauges, and exact-bucket histograms.
 //
-// Design mirrors RunStats: one registry per worker session, no atomics on
-// the hot path, merged value-wise after the run. Because counter increments
-// are a pure function of the session's seed and histogram buckets are exact
-// (power-of-two boundaries, merge = add counts, unlike approximating HDR
-// schemes), the merged registry of an N-worker campaign is byte-identical
-// to the 1-worker run once sessions merge in plan order.
+// One registry per worker session, no atomics on the hot path, merged
+// value-wise after the run. Because counter increments are a pure function
+// of the session's seed and histogram buckets are exact (power-of-two
+// boundaries, merge = add counts, unlike approximating HDR schemes), the
+// merged registry of an N-worker campaign is byte-identical to the 1-worker
+// run once sessions merge in plan order.
+//
+// The counters hold what happens beneath a Connection (statement errors,
+// buffer-pool traffic, cache invalidations) plus pivot selections. What the
+// runner decides (statements issued, checks run, scheduler actions,
+// transaction outcomes, findings) is tallied once, in RunStats; no counter
+// here repeats a RunStats field (DESIGN.md §13).
 //
 // Metric identity is a closed enum, not a string lookup: registration races
 // and hash-order iteration are the two classic ways metric output goes
@@ -22,8 +28,7 @@ namespace obs {
 
 // Monotonic counters. Keep in sync with CounterName().
 enum class Counter : uint8_t {
-  kStatementsExecuted = 0,
-  kStatementErrors,
+  kStatementErrors = 0,
   kPivotSelections,
   kPoolHits,           // buffer-pool page hits
   kPoolMisses,         //   "      "   page faults
@@ -34,17 +39,6 @@ enum class Counter : uint8_t {
   kStmtCacheHits,
   kStmtCacheMisses,
   kCacheInvalidations,
-  kSchedInsert,        // scheduler action tallies (mirrors RunStats)
-  kSchedUpdate,
-  kSchedDelete,
-  kSchedCreateIndex,
-  kSchedDropIndex,
-  kSchedMaintenance,
-  kFindingsRecorded,
-  kTxnBegins,          // transaction workload (K interleaved sessions)
-  kTxnCommits,
-  kTxnRollbacks,
-  kTxnConflicts,       // COMMIT refused (first-committer-wins)
   kCount_,  // sentinel
 };
 

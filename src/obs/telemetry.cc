@@ -8,7 +8,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<bool> g_telemetry_enabled{true};
 std::atomic<bool> g_phase_wall_clock{false};
 
 thread_local SessionTelemetry* t_session = nullptr;
@@ -22,14 +21,6 @@ uint64_t WallMicros() {
 
 }  // namespace
 
-void SetTelemetryEnabled(bool enabled) {
-  g_telemetry_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool TelemetryEnabled() {
-  return g_telemetry_enabled.load(std::memory_order_relaxed);
-}
-
 void SetPhaseWallClock(bool enabled) {
   g_phase_wall_clock.store(enabled, std::memory_order_relaxed);
 }
@@ -42,7 +33,7 @@ SessionTelemetry* CurrentTelemetry() { return t_session; }
 
 ScopedSessionTelemetry::ScopedSessionTelemetry(SessionTelemetry* session)
     : previous_(t_session) {
-  t_session = TelemetryEnabled() ? session : nullptr;
+  t_session = session;
 }
 
 ScopedSessionTelemetry::~ScopedSessionTelemetry() { t_session = previous_; }

@@ -5,10 +5,9 @@
 // a thread-local slot for the session's duration (each session runs entirely
 // on one thread — the sharding invariant the runner already relies on).
 // Engine internals (BufferPool, SqliteConnection) emit through the free
-// helpers below, which are a TLS load plus a null check when no session is
-// installed. The process-wide kill switch (same idiom as SetBytecodeEnabled)
-// disables installation itself, so with telemetry off the per-event cost is
-// the null branch and nothing else — enforced by the perf-smoke gate.
+// helpers below, which are a TLS load plus a null check. Every runner
+// session installs one; engines also run outside a session (the reducer,
+// tests), and there every emit is a no-op.
 //
 // Determinism contract (DESIGN.md §13): everything emitted in deterministic
 // mode is keyed to the session's logical clock — the count of engine
@@ -25,11 +24,6 @@
 
 namespace pqs {
 namespace obs {
-
-// Process-wide kill switch. Safe to toggle between runs; not meant to be
-// flipped while sessions are in flight.
-void SetTelemetryEnabled(bool enabled);
-bool TelemetryEnabled();
 
 // Bench opt-in: also record wall-clock span durations. Never enabled on
 // deterministic campaign paths.
@@ -51,9 +45,8 @@ struct SessionTelemetry {
 // The session installed on this thread, or nullptr.
 SessionTelemetry* CurrentTelemetry();
 
-// Installs `session` in the thread-local slot for this scope. Installs
-// nothing (leaving emits as no-ops) when the kill switch is off or
-// `session` is null.
+// Installs `session` in the thread-local slot for this scope; a null
+// `session` leaves every emit in scope a no-op.
 class ScopedSessionTelemetry {
  public:
   explicit ScopedSessionTelemetry(SessionTelemetry* session);
@@ -73,14 +66,13 @@ inline void Count(Counter c, uint64_t delta = 1) {
   if (t != nullptr) t->metrics.Count(c, delta);
 }
 
-// One engine statement executed: advances the logical clock, counts it, and
-// drops a kStatement event in the ring. `kind_ordinal` is the StmtKind,
-// `failed` marks StatementStatus::kError.
+// One engine statement executed: advances the logical clock (the runner's
+// statement count), counts a failure, and drops a kStatement event in the
+// ring. `kind_ordinal` is the StmtKind, `failed` marks any non-kOk status.
 inline void CountStatement(uint32_t kind_ordinal, bool failed) {
   SessionTelemetry* t = CurrentTelemetry();
   if (t == nullptr) return;
   ++t->clock;
-  t->metrics.Count(Counter::kStatementsExecuted);
   if (failed) t->metrics.Count(Counter::kStatementErrors);
   t->recorder.Emit(t->clock, EventKind::kStatement, kind_ordinal,
                    failed ? 1u : 0u);

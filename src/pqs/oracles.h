@@ -58,9 +58,8 @@ struct Finding {
   std::string message;
   uint64_t seed = 0;
   // Flight-recorder provenance: the session's most recent events at the
-  // moment the finding was recorded, oldest first (empty only when the
-  // telemetry kill switch was off). The last event is always the
-  // kFindingRecorded marker for this finding.
+  // moment the finding was recorded, oldest first. The last event is
+  // always the kFindingRecorded marker for this finding.
   std::vector<obs::FlightEvent> flight;
 
   Finding() = default;

@@ -26,34 +26,26 @@ namespace {
 
 using Rows = std::vector<std::vector<SqlValue>>;
 
-// Statement-stream distribution tallies for the mutation actions, mirrored
-// into the telemetry registry (the obs counters are the migration target
-// for these tallies; RunStats keeps them because report consumers read it).
+// Statement-stream distribution tallies for the mutation actions.
 void TallyAction(const Stmt& stmt, RunStats* stats) {
   switch (stmt.kind()) {
     case StmtKind::kInsert:
       ++stats->actions_insert;
-      obs::Count(obs::Counter::kSchedInsert);
       break;
     case StmtKind::kUpdate:
       ++stats->actions_update;
-      obs::Count(obs::Counter::kSchedUpdate);
       break;
     case StmtKind::kDelete:
       ++stats->actions_delete;
-      obs::Count(obs::Counter::kSchedDelete);
       break;
     case StmtKind::kCreateIndex:
       ++stats->actions_create_index;
-      obs::Count(obs::Counter::kSchedCreateIndex);
       break;
     case StmtKind::kDropIndex:
       ++stats->actions_drop_index;
-      obs::Count(obs::Counter::kSchedDropIndex);
       break;
     case StmtKind::kMaintenance:
       ++stats->actions_maintenance;
-      obs::Count(obs::Counter::kSchedMaintenance);
       break;
     default:
       break;
@@ -230,8 +222,12 @@ enum class Reference {
 // serial comparison sound.
 class Session {
  public:
-  Session(const RunnerOptions& options, uint64_t db_seed, ConnectionPtr conn)
+  // `telemetry` is the session's installed telemetry context; the session
+  // stamps its findings' flight dumps from it.
+  Session(const RunnerOptions& options, uint64_t db_seed, ConnectionPtr conn,
+          obs::SessionTelemetry* telemetry)
       : options_(options),
+        telemetry_(*telemetry),
         rng_(db_seed),
         conn_(std::move(conn)),
         dialect_(conn_->dialect()),
@@ -286,7 +282,6 @@ class Session {
 
   // Runs one statement on the engine under test.
   StatementResult Exec(const Stmt& stmt) {
-    ++stats_.statements_executed;
     return ExecuteCounted(*conn_, stmt);
   }
 
@@ -345,12 +340,10 @@ class Session {
     // ring's contents with the finding. The dump is therefore never empty
     // (it at least holds its own kFindingRecorded marker) and is a pure
     // function of the session seed — worker-count-invariant.
-    if (obs::SessionTelemetry* t = obs::CurrentTelemetry()) {
-      t->metrics.Count(obs::Counter::kFindingsRecorded);
-      t->recorder.Emit(t->clock, obs::EventKind::kFindingRecorded,
-                       static_cast<uint32_t>(finding.oracle));
-      finding.flight = t->recorder.Dump();
-    }
+    telemetry_.recorder.Emit(telemetry_.clock,
+                             obs::EventKind::kFindingRecorded,
+                             static_cast<uint32_t>(finding.oracle));
+    finding.flight = telemetry_.recorder.Dump();
     out_.findings.push_back(std::move(finding));
     return false;
   }
@@ -543,20 +536,17 @@ class Session {
           sess.open = true;
           sess.committed_dml.clear();
           ++stats_.txn_begins;
-          obs::Count(obs::Counter::kTxnBegins);
           obs::Emit(obs::EventKind::kTxnBegin, session, clock);
         }
         return false;
       case StmtKind::kCommit:
         if (mirror_result.ok()) {
           ++stats_.txn_commits;
-          obs::Count(obs::Counter::kTxnCommits);
           obs::Emit(obs::EventKind::kTxnCommit, session, clock);
           obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
           for (const StmtPtr& dml : sess.committed_dml) replay_->Execute(*dml);
         } else if (mirror_result.status == StatementStatus::kTxnConflict) {
           ++stats_.txn_conflicts;
-          obs::Count(obs::Counter::kTxnConflicts);
           obs::Emit(obs::EventKind::kTxnAbort, session, 1);
         }
         sess.open = false;
@@ -565,7 +555,6 @@ class Session {
       case StmtKind::kRollback:
         if (mirror_result.ok()) {
           ++stats_.txn_rollbacks;
-          obs::Count(obs::Counter::kTxnRollbacks);
           obs::Emit(obs::EventKind::kTxnAbort, session, 0);
         }
         sess.open = false;
@@ -844,7 +833,6 @@ class Session {
       obs::ScopedPhase span(obs::Phase::kOracleCheck);
       outcome = sqlmeta::RunTlpCheck(*conn_, *full, *predicate);
     }
-    stats_.statements_executed += outcome.executed.size();
     if (outcome.verdict == sqlmeta::MetaVerdict::kSkipped) {
       ++stats_.queries_skipped;
       return true;
@@ -936,6 +924,7 @@ class Session {
   }
 
   const RunnerOptions& options_;
+  obs::SessionTelemetry& telemetry_;
   DbRunResult out_;
   RunStats& stats_ = out_.stats;
   Rng rng_;
@@ -955,11 +944,10 @@ class Session {
 };
 
 // Telemetry wrapper around one session: installs a fresh per-session
-// telemetry context (registry + flight ring) for the duration of the
-// session and harvests the registry into the result. Engine internals
-// emit into this session's registry and flight ring. When the kill switch
-// is off, installation leaves the thread-local slot null and every emit in
-// the session is a single predictable branch.
+// telemetry context (registry + flight ring + logical clock) for the
+// duration of the session and harvests it into the result. Engine
+// internals emit into this session's registry and flight ring, and the
+// logical clock is the session's statement count.
 DbRunResult RunOneDatabase(const WorkerEngineFactory& factory, int worker,
                            const RunnerOptions& options, uint64_t db_seed) {
   obs::SessionTelemetry telemetry;
@@ -970,11 +958,12 @@ DbRunResult RunOneDatabase(const WorkerEngineFactory& factory, int worker,
     if (conn == nullptr) {
       out.factory_failed = true;
     } else {
-      out = Session(options, db_seed, std::move(conn)).Run();
+      out = Session(options, db_seed, std::move(conn), &telemetry).Run();
     }
   }
   telemetry.metrics.GaugeMax(obs::Gauge::kMaxFlightEvents,
                              telemetry.recorder.total_emitted());
+  out.stats.statements_executed = telemetry.clock;
   out.metrics = telemetry.metrics;
   return out;
 }

@@ -51,7 +51,9 @@ struct RunnerOptions {
 };
 
 struct RunStats {
-  uint64_t statements_executed = 0;  // every Execute() on the connection
+  // Every Execute() on the connection: the session's logical clock, which
+  // only ExecuteCounted advances.
+  uint64_t statements_executed = 0;
   uint64_t queries_checked = 0;      // oracle-checked SELECTs
   uint64_t queries_skipped = 0;      // e.g. a FROM table was empty
   uint64_t databases_created = 0;
@@ -111,10 +113,9 @@ struct RunStats {
 
 struct RunReport {
   RunStats stats;
-  // Telemetry registry merged from every session in plan order: counters,
-  // gauges, and per-phase logical-tick histograms (src/obs). All-zero when
-  // the telemetry kill switch is off. Like `stats`, byte-identical for
-  // every worker count.
+  // Telemetry registry merged from every session in plan order: the
+  // engine-side counters, gauges, and per-phase logical-tick histograms
+  // (src/obs). Like `stats`, byte-identical for every worker count.
   obs::MetricsRegistry metrics;
   std::vector<Finding> findings;
   // True when the engine answered kUnsupported (e.g. stub SQLite adapter);

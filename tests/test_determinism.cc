@@ -10,7 +10,7 @@
 #include "src/interp/bytecode.h"
 #include "src/minidb/bug_registry.h"
 #include "src/minidb/database.h"
-#include "src/obs/telemetry.h"
+#include "src/obs/flight_recorder.h"
 #include "src/pqs/campaign.h"
 #include "src/pqs/runner.h"
 #include "src/sqlparser/render.h"
@@ -298,50 +298,6 @@ void TestBytecodeOnOffSameReport() {
   }
 }
 
-// Telemetry is observe-only: flipping its process-wide kill switch must
-// leave every report byte-identical (same pattern as the bytecode switch).
-// With telemetry off the merged metrics registry is additionally all-zero.
-void TestTelemetryOnOffSameReport() {
-  for (OracleFamily family :
-       {OracleFamily::kContainment, OracleFamily::kNorec, OracleFamily::kTlp}) {
-    auto run = [family]() {
-      RunnerOptions options;
-      options.seed = 99;
-      options.databases = 20;
-      options.queries_per_database = 15;
-      options.family = family;
-      options.gen.explicit_join_probability = 0.6;
-      options.gen.distinct_probability = 0.4;
-      options.gen.order_by_probability = 0.5;
-      EngineFactory factory = []() -> ConnectionPtr {
-        return std::make_unique<minidb::Database>(
-            Dialect::kSqliteFlex,
-            BugConfig::Single(BugId::kPartialIndexIsNotInference));
-      };
-      PqsRunner runner(factory, options);
-      return runner.Run();
-    };
-    CHECK(obs::TelemetryEnabled());
-    RunReport with_telemetry = run();
-    obs::SetTelemetryEnabled(false);
-    RunReport without_telemetry = run();
-    obs::SetTelemetryEnabled(true);
-    CHECK_EQ(Fingerprint(with_telemetry), Fingerprint(without_telemetry));
-    // The registry itself is part of what telemetry adds: off ⇒ all-zero.
-    CHECK_EQ(without_telemetry.metrics.ToJson(false),
-             obs::MetricsRegistry().ToJson(false));
-    CHECK(with_telemetry.metrics.counter(
-              obs::Counter::kStatementsExecuted) > 0);
-    // Findings carry flight provenance exactly when telemetry was on.
-    for (const Finding& f : with_telemetry.findings) {
-      CHECK(!f.flight.empty());
-    }
-    for (const Finding& f : without_telemetry.findings) {
-      CHECK(f.flight.empty());
-    }
-  }
-}
-
 // Transaction workloads (gen.txn_sessions > 1 runs the interleaved
 // K-session stream and the transaction checks, DESIGN §14) obey the same
 // sharding contract: an N-worker run merges byte-identically to the
@@ -622,7 +578,6 @@ int main() {
   pqs::TestShardedRunnerMatchesSequential();
   pqs::TestShardedCampaignMatchesSequential();
   pqs::TestBytecodeOnOffSameReport();
-  pqs::TestTelemetryOnOffSameReport();
   pqs::TestShardedTxnWorkloadMatchesSequential();
   pqs::TestReportFingerprintsGolden();
   pqs::TestDifferentSeedsDiffer();

@@ -1,12 +1,14 @@
-// PR-9 telemetry subsystem: JSON serializer units, exact-bucket histogram
-// merge identity (the property that makes N-worker metric output byte-
-// identical to 1-worker), flight-recorder ring wraparound, phase-span
-// nesting under the logical clock, kill-switch no-op behavior, and
-// end-to-end checks that runner/campaign findings carry a non-empty
-// flight-recorder dump whose merged metrics are worker-count-invariant.
+// Telemetry subsystem: JSON serializer units, exact-bucket histogram merge
+// identity (the property that makes N-worker metric output byte-identical
+// to 1-worker), flight-recorder ring wraparound, phase-span nesting under
+// the logical clock, the runner's statement count against the engine calls
+// a decorator sees, and end-to-end checks that runner/campaign findings
+// carry a non-empty flight-recorder dump whose merged metrics are
+// worker-count-invariant.
 //
 // Accepts `--workers N` (the CI ThreadSanitizer job passes 4); every
 // property is worker-count-invariant.
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -148,8 +150,6 @@ void TestSpanNestingLogicalClock() {
   }
   // Logical clock advanced once per statement; spans recorded tick deltas.
   CHECK_EQ(session.clock, static_cast<uint64_t>(3));
-  CHECK_EQ(session.metrics.counter(obs::Counter::kStatementsExecuted),
-           static_cast<uint64_t>(3));
   CHECK_EQ(session.metrics.counter(obs::Counter::kStatementErrors),
            static_cast<uint64_t>(1));
   CHECK_EQ(session.metrics.gauge(obs::Gauge::kMaxSpanDepth),
@@ -183,28 +183,70 @@ void TestSpanNestingLogicalClock() {
 }
 
 // ---------------------------------------------------------------------------
-// Kill switch
+// Statement count: RunStats::statements_executed vs the engine's calls
 // ---------------------------------------------------------------------------
 
-void TestKillSwitchNoOp() {
-  CHECK(obs::TelemetryEnabled());
-  obs::SetTelemetryEnabled(false);
-  obs::SessionTelemetry session;
-  {
-    // Installation under a disabled switch leaves the TLS slot null, so
-    // every emit in scope is a no-op.
-    obs::ScopedSessionTelemetry install(&session);
-    CHECK(obs::CurrentTelemetry() == nullptr);
-    obs::Count(obs::Counter::kPoolHits);
-    obs::CountStatement(0, false);
-    obs::Emit(obs::EventKind::kEviction, 1, 2);
-    obs::ScopedPhase span(obs::Phase::kGenerate);
+// MiniDB behind a decorator that counts every Execute the engine receives,
+// summed over all connections of a run (workers share the counter).
+class CountingConnection : public Connection {
+ public:
+  CountingConnection(BugConfig bugs, std::atomic<uint64_t>* calls)
+      : inner_(Dialect::kSqliteFlex, bugs), calls_(calls) {}
+
+  StatementResult Execute(const Stmt& stmt) override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return inner_.Execute(stmt);
   }
-  obs::SetTelemetryEnabled(true);
-  CHECK_EQ(session.clock, static_cast<uint64_t>(0));
-  CHECK_EQ(session.recorder.total_emitted(), static_cast<uint64_t>(0));
-  CHECK_EQ(session.metrics.ToJson(false),
-           obs::MetricsRegistry().ToJson(false));
+  Dialect dialect() const override { return inner_.dialect(); }
+  std::string EngineName() const override { return inner_.EngineName(); }
+  bool alive() const override { return inner_.alive(); }
+
+ private:
+  minidb::Database inner_;
+  std::atomic<uint64_t>* calls_;
+};
+
+// The runner reports exactly the statements the engine received, for every
+// check unit (containment, NoREC, TLP, the K-session transaction checks),
+// on clean engines and on sessions that end early in a finding.
+void TestStatementCountMatchesEngineCalls() {
+  struct Config {
+    OracleFamily family;
+    int txn_sessions;
+    BugId bug;
+  };
+  const Config configs[] = {
+      {OracleFamily::kContainment, 1, BugId::kPartialIndexIsNotInference},
+      {OracleFamily::kNorec, 1, BugId::kPartialIndexIsNotInference},
+      {OracleFamily::kTlp, 1, BugId::kPartialIndexIsNotInference},
+      {OracleFamily::kContainment, 3, BugId::kTxnDirtyRead},
+  };
+  for (const Config& config : configs) {
+    for (bool buggy : {false, true}) {
+      BugConfig bugs = buggy ? BugConfig::Single(config.bug) : BugConfig();
+      std::atomic<uint64_t> calls{0};
+      RunnerOptions options;
+      options.seed = 4242;
+      options.databases = 16;
+      options.queries_per_database = 10;
+      options.workers = property_workers;
+      options.family = config.family;
+      options.gen.txn_sessions = config.txn_sessions;
+      EngineFactory factory = [bugs, &calls]() -> ConnectionPtr {
+        return std::make_unique<CountingConnection>(bugs, &calls);
+      };
+      RunReport report = PqsRunner(factory, options).Run();
+      CHECK(report.stats.statements_executed > 0);
+      CHECK(report.findings.empty() != buggy);
+      CHECK_MSG(report.stats.statements_executed == calls.load(),
+                "family %d, %d session(s), bug %d: runner %llu, engine %llu",
+                static_cast<int>(config.family), config.txn_sessions,
+                buggy ? 1 : 0,
+                static_cast<unsigned long long>(
+                    report.stats.statements_executed),
+                static_cast<unsigned long long>(calls.load()));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -237,10 +279,7 @@ void TestWorkerMetricIdentity() {
     // The merged registry is byte-identical across worker counts — the
     // same guarantee RunStats::Merge gives the classic counters.
     CHECK_EQ(sharded.metrics.ToJson(false), sequential.metrics.ToJson(false));
-    // The registry actually carried the migrated stats.
-    CHECK(sequential.metrics.counter(obs::Counter::kStatementsExecuted) > 0);
-    CHECK_EQ(sequential.metrics.counter(obs::Counter::kStatementsExecuted),
-             sequential.stats.statements_executed);
+    // The registry actually carried the engine-side counters.
     CHECK(sequential.metrics.counter(obs::Counter::kPoolHits) > 0);
     CHECK(sequential.metrics.counter(obs::Counter::kPivotSelections) > 0 ||
           family != OracleFamily::kContainment);
@@ -309,7 +348,7 @@ int main(int argc, char** argv) {
   pqs::TestHistogramExactBucketMerge();
   pqs::TestRingWraparound();
   pqs::TestSpanNestingLogicalClock();
-  pqs::TestKillSwitchNoOp();
+  pqs::TestStatementCountMatchesEngineCalls();
   pqs::TestWorkerMetricIdentity();
   pqs::TestCampaignFindingsCarryFlight();
   return pqs::test::Summary("test_obs");

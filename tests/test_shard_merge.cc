@@ -70,6 +70,12 @@ void TestRunStatsMerge() {
   shard1.predicate_depth_buckets[2] = 1;
   shard1.predicates_with_function = 3;
   shard1.function_calls_generated = 5;
+  shard1.norec_checks = 3;
+  shard1.tlp_checks = 2;
+  shard1.tlp_partition_queries = 6;
+  shard1.aggregate_queries = 2;
+  shard1.group_by_queries = 1;
+  shard1.having_queries = 1;
   shard1.actions_insert = 4;
   shard1.actions_update = 3;
   shard1.actions_delete = 2;
@@ -94,6 +100,12 @@ void TestRunStatsMerge() {
   shard2.predicate_depth_buckets[4] = 2;
   shard2.predicates_with_function = 1;
   shard2.function_calls_generated = 1;
+  shard2.norec_checks = 1;
+  shard2.tlp_checks = 5;
+  shard2.tlp_partition_queries = 15;
+  shard2.aggregate_queries = 9;
+  shard2.group_by_queries = 7;
+  shard2.having_queries = 12;
   shard2.actions_insert = 1;
   shard2.actions_update = 2;
   shard2.actions_maintenance = 1;
@@ -120,6 +132,12 @@ void TestRunStatsMerge() {
   CHECK_EQ(total.predicate_depth_buckets[4], uint64_t{2});
   CHECK_EQ(total.predicates_with_function, uint64_t{4});
   CHECK_EQ(total.function_calls_generated, uint64_t{6});
+  CHECK_EQ(total.norec_checks, uint64_t{4});
+  CHECK_EQ(total.tlp_checks, uint64_t{7});
+  CHECK_EQ(total.tlp_partition_queries, uint64_t{21});
+  CHECK_EQ(total.aggregate_queries, uint64_t{11});
+  CHECK_EQ(total.group_by_queries, uint64_t{8});
+  CHECK_EQ(total.having_queries, uint64_t{13});
   CHECK_EQ(total.actions_insert, uint64_t{5});
   CHECK_EQ(total.actions_update, uint64_t{5});
   CHECK_EQ(total.actions_delete, uint64_t{2});
